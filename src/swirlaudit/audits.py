@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-from scipy import stats
+from scipy.special import chdtrc
 
 from swirlaudit.errors import (
     InvalidDomainError,
@@ -59,8 +59,14 @@ __all__ = [
     "check_independent_support",
     "check_uniformity",
     "check_coordinatewise_relation",
+    "rank_correlation",
     "run_audit",
+    "generate",
+    "audit_pipeline",
     "bounding_box",
+    "min_samples_support",
+    "min_samples_uniformity",
+    "min_samples_relation",
 ]
 
 COORDINATE_WISE = "coordinate-wise"
@@ -80,6 +86,21 @@ CONTINUITY_DELTA = 1e-7
 DEFAULT_MIN_COUNT = 5
 
 _PERMUTATIONS = ((0, 1), (1, 0))
+
+
+def min_samples_support(bins: int, min_count: int = DEFAULT_MIN_COUNT) -> int:
+    """Smallest n the independent-support check accepts: 5 * min_count per cell."""
+    return bins * bins * min_count * 5
+
+
+def min_samples_uniformity(bins: int) -> int:
+    """Smallest n the uniformity check accepts: 5 expected counts per cell."""
+    return 5 * bins * bins
+
+
+def min_samples_relation(bins: int) -> int:
+    """Smallest n the relation check accepts: 50 samples per equal-count bin."""
+    return 50 * bins
 
 
 def bounding_box(points: ArrayLike) -> NDArray[np.float64]:
@@ -346,7 +367,7 @@ def check_independent_support(
         If ``n < bins**2 * min_count * 5`` (too few samples per cell to call
         empty cells empty with any confidence).
     """
-    required = bins * bins * min_count * 5
+    required = min_samples_support(bins, min_count)
     if D.n < required:
         raise UndersampledError(
             f"independent-support check needs n >= {required} for bins={bins}, "
@@ -374,7 +395,7 @@ def check_uniformity(
     UndersampledError
         If ``n < 5 * bins**2`` (rule of thumb for chi-square validity).
     """
-    required = 5 * bins * bins
+    required = min_samples_uniformity(bins)
     if D.n < required:
         raise UndersampledError(
             f"uniformity check needs n >= {required} for bins={bins}; got n = {D.n}",
@@ -386,7 +407,7 @@ def check_uniformity(
     )
     expected = D.n / (bins * bins)
     statistic = float(((counts - expected) ** 2 / expected).sum())
-    return float(stats.chi2.sf(statistic, bins * bins - 1))
+    return float(chdtrc(bins * bins - 1, statistic))
 
 
 def _conditional_variance_ratio(binning: NDArray, dependent: NDArray, bins: int) -> float:
@@ -402,8 +423,33 @@ def _conditional_variance_ratio(binning: NDArray, dependent: NDArray, bins: int)
     return within / (binning.size * total_var)
 
 
+def _average_ranks(values: NDArray) -> NDArray[np.float64]:
+    """1-based ranks of ``values``, tied values sharing their mean rank."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts_group = np.empty(ordered.size, dtype=bool)
+    starts_group[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts_group[1:])
+    starts = np.flatnonzero(starts_group)
+    ends = np.append(starts[1:], ordered.size)
+    ranks = np.empty(ordered.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def rank_correlation(x: ArrayLike, y: ArrayLike) -> float:
+    """Spearman's rank correlation: Pearson's correlation of tie-averaged ranks.
+
+    NaN when either input is constant.
+    """
+    rx = _average_ranks(np.asarray(x, dtype=np.float64))
+    ry = _average_ranks(np.asarray(y, dtype=np.float64))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(np.corrcoef(rx, ry)[0, 1])
+
+
 def _monotonicity_note(x: NDArray, y: NDArray) -> str:
-    rho = float(stats.spearmanr(x, y).statistic)
+    rho = rank_correlation(x, y)
     if rho >= 0.95:
         return "increasing"
     if rho <= -0.95:
@@ -435,7 +481,7 @@ def check_coordinatewise_relation(
     """
     if Z.n != Zp.n:
         raise PairingError(f"datasets are not paired: {Z.n} vs {Zp.n} points")
-    required = 50 * bins
+    required = min_samples_relation(bins)
     if Z.n < required:
         raise UndersampledError(
             f"relation check needs n >= {required} for bins={bins}; got n = {Z.n}",
@@ -476,6 +522,17 @@ def _checked(name: str, fn, *args, **kwargs):
         raise
 
 
+def generate(A: Mixing2, p: MpaParams, n: int, seed: int) -> tuple[Dataset, Dataset, Dataset]:
+    """Draw ``n`` uniform latents and push them through the mixing and the swirl.
+
+    Returns the paired datasets ``(Z, X, Z')`` that :func:`audit_pipeline`
+    audits.
+    """
+    Z = _checked("sampling", sample_uniform_square, n, seed)
+    X, Zp = _checked("pipeline", apply_pipeline, A, p, Z)
+    return Z, X, Zp
+
+
 def run_audit(
     A: Mixing2,
     p: MpaParams,
@@ -499,9 +556,43 @@ def run_audit(
     premises pass, the alternate latents look uniform, and the conclusion is
     ``not-coordinate-wise``: a certified counterexample.
     """
+    Z, X, Zp = generate(A, p, n, seed)
+    return audit_pipeline(
+        A, p, Z, X, Zp,
+        bins_support=bins_support,
+        bins_uniformity=bins_uniformity,
+        bins_relation=bins_relation,
+        min_count=min_count,
+        functional_threshold=functional_threshold,
+        alpha=alpha,
+        l_max=l_max,
+        continuity_pairs=continuity_pairs,
+    )
+
+
+def audit_pipeline(
+    A: Mixing2,
+    p: MpaParams,
+    Z: Dataset,
+    X: Dataset,
+    Zp: Dataset,
+    *,
+    bins_support: int = 10,
+    bins_uniformity: int = 10,
+    bins_relation: int = 50,
+    min_count: int = DEFAULT_MIN_COUNT,
+    functional_threshold: float = 0.01,
+    alpha: float = 0.001,
+    l_max: float = 100.0,
+    continuity_pairs: int = 1000,
+) -> AuditReport:
+    """Run every audit on datasets produced by :func:`generate` with ``A`` and ``p``.
+
+    The continuity sweeps are seeded from ``Z.seed``, so auditing the output
+    of ``generate(A, p, n, seed)`` gives exactly ``run_audit(A, p, n, seed)``.
+    """
     square = np.array([[-1.0, 1.0], [-1.0, 1.0]])
-    Z = _checked("sampling", sample_uniform_square, n, seed)
-    X, Zp = _checked("pipeline", apply_pipeline, A, p, Z)
+    seed = Z.seed
 
     def to_sources(x):
         return unmix(A, x)
@@ -563,7 +654,7 @@ def run_audit(
             "c": p.c,
             "degenerate_a": p.degenerate,
             "A": A.matrix.tolist(),
-            "n": n,
+            "n": Z.n,
             "seed": seed,
             "bins_support": bins_support,
             "bins_uniformity": bins_uniformity,

@@ -20,11 +20,15 @@ import numpy as np
 from swirlaudit import __version__
 from swirlaudit.audits import (
     AuditReport,
+    audit_pipeline,
     check_compact_support,
     check_coordinatewise_relation,
     check_independent_support,
     check_uniformity,
-    run_audit,
+    generate,
+    min_samples_relation,
+    min_samples_support,
+    min_samples_uniformity,
 )
 from swirlaudit.config import RunConfig, load_config
 from swirlaudit.errors import ConfigError, SwirlAuditError
@@ -36,12 +40,7 @@ from swirlaudit.reporting import (
     write_profile_csv,
     write_report_json,
 )
-from swirlaudit.transforms import (
-    LATENT_Z,
-    LATENT_ZPRIME,
-    apply_pipeline,
-    sample_uniform_square,
-)
+from swirlaudit.transforms import LATENT_Z, LATENT_ZPRIME
 
 EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 2
@@ -103,10 +102,29 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _generate(cfg: RunConfig):
-    Z = sample_uniform_square(cfg.n, cfg.seed)
-    X, Zp = apply_pipeline(cfg.mixing2(), cfg.mpa_params(), Z)
-    return Z, X, Zp
+def _check_sample_size(cfg: RunConfig) -> None:
+    """Reject an ``n`` too small for the audit's bins before any work starts.
+
+    ``figures`` runs no audit, so this belongs to ``run`` and not to
+    :class:`RunConfig`.
+    """
+    bounds = (
+        ("bins_support", min_samples_support(cfg.bins_support)),
+        ("bins_uniformity", min_samples_uniformity(cfg.bins_uniformity)),
+        ("bins_relation", min_samples_relation(cfg.bins_relation)),
+    )
+    problems = [
+        f"n: must be >= {required} for {key} = {getattr(cfg, key)}, got {cfg.n}"
+        for key, required in bounds
+        if cfg.n < required
+    ]
+    if problems:
+        raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
+
+
+def _drop_stale_report(cfg: RunConfig) -> None:
+    """Remove an earlier report, so a command that fails leaves no verdict behind."""
+    (Path(cfg.output_dir) / "report.json").unlink(missing_ok=True)
 
 
 def _emit_bundle(cfg: RunConfig, Z, X, Zp, render: bool) -> Path:
@@ -143,8 +161,12 @@ def _not_certified_category(report: AuditReport, degenerate: bool) -> str:
 
 
 def _cmd_run(cfg: RunConfig, render: bool) -> int:
-    report = run_audit(
-        cfg.mixing2(), cfg.mpa_params(), cfg.n, cfg.seed,
+    _check_sample_size(cfg)
+    _drop_stale_report(cfg)
+    A, p = cfg.mixing2(), cfg.mpa_params()
+    Z, X, Zp = generate(A, p, cfg.n, cfg.seed)
+    report = audit_pipeline(
+        A, p, Z, X, Zp,
         bins_support=cfg.bins_support,
         bins_uniformity=cfg.bins_uniformity,
         bins_relation=cfg.bins_relation,
@@ -152,7 +174,6 @@ def _cmd_run(cfg: RunConfig, render: bool) -> int:
         alpha=cfg.alpha,
         l_max=cfg.l_max,
     )
-    Z, X, Zp = _generate(cfg)
     out = _emit_bundle(cfg, Z, X, Zp, render)
     document = build_report(report, tool_version=__version__, config_dict=cfg.to_dict())
     write_report_json(out / "report.json", document)
@@ -165,13 +186,14 @@ def _cmd_run(cfg: RunConfig, render: bool) -> int:
 
 
 def _cmd_figures(cfg: RunConfig, render: bool) -> int:
-    Z, X, Zp = _generate(cfg)
+    Z, X, Zp = generate(cfg.mixing2(), cfg.mpa_params(), cfg.n, cfg.seed)
     out = _emit_bundle(cfg, Z, X, Zp, render)
     print(f"figure bundle written to {out}")
     return EXIT_OK
 
 
 def _cmd_audit_external(cfg: RunConfig, z_path: str, zp_path: str) -> int:
+    _drop_stale_report(cfg)
     Z = load_external_cloud(z_path, LATENT_Z)
     Zp = load_external_cloud(zp_path, LATENT_ZPRIME)
     if Z.n != Zp.n:

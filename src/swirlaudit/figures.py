@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
+from swirlaudit._atomic import atomic_write
 from swirlaudit.errors import PairingError
 from swirlaudit.transforms import Dataset
 
@@ -125,4 +126,5 @@ def render_scatter_svg(
     )
     lines.append("</g>")
     lines.append("</svg>")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -4,7 +4,9 @@ Point clouds are UTF-8 CSV with a two-column header (``z1,z2`` for latent
 clouds, ``x1,x2`` for observations) and 17 significant digits per value, so
 float64 coordinates round-trip exactly.  Reports are JSON with the timestamp
 isolated on its own line; everything else is a pure function of config and
-seed, so repeated runs are byte-identical apart from that line.
+seed, so repeated runs are byte-identical apart from that line.  Every file
+is written through a temporary sibling and moved into place, so a failed
+write never leaves a partial or mixed file behind.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
+from swirlaudit._atomic import atomic_write
 from swirlaudit.audits import AuditReport, CoordRelationVerdict, support_overshoot
 from swirlaudit.errors import EmptyDatasetError, MalformedRowError
+from swirlaudit.figures import PROFILE_COLUMNS
 from swirlaudit.transforms import Dataset
 
 __all__ = [
@@ -34,6 +38,11 @@ CLOUD_HEADERS = ("z1,z2", "x1,x2")
 SIGMA_PROXY_THRESHOLD = 1e-9
 BOX_THRESHOLD = 1e-9
 
+# Rows formatted per string operation by the cloud writer: large enough to
+# amortise the per-call overhead, small enough that the block string stays a
+# few MB whatever the cloud size.
+CSV_BLOCK_ROWS = 65536
+
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
@@ -44,10 +53,14 @@ def write_cloud_csv(path: str | Path, points: NDArray[np.float64], header: str =
     if header not in CLOUD_HEADERS:
         raise ValueError(f"header must be one of {CLOUD_HEADERS}, got {header!r}")
     pts = np.asarray(points, dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
+    with atomic_write(path) as fh:
         fh.write(header + "\n")
-        for x, y in pts:
-            fh.write(f"{_fmt(x)},{_fmt(y)}\n")
+        for start in range(0, len(pts), CSV_BLOCK_ROWS):
+            block = pts[start:start + CSV_BLOCK_ROWS]
+            # "%.17g" formats exactly as _fmt does, one row per template copy.
+            fh.write(("%.17g,%.17g\n" * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_cloud_csv(path: str | Path) -> tuple[NDArray[np.float64], str]:
@@ -96,8 +109,8 @@ def load_external_cloud(path: str | Path, label: str) -> Dataset:
 
 def write_profile_csv(path: str | Path, profile: NDArray) -> None:
     """Write a swirl-profile table (structured array) as CSV."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("r_lo,r_hi,r_mean,count,mean_angle\n")
+    with atomic_write(path) as fh:
+        fh.write(",".join(PROFILE_COLUMNS) + "\n")
         for row in profile:
             fh.write(
                 f"{_fmt(row['r_lo'])},{_fmt(row['r_hi'])},{_fmt(row['r_mean'])},"
@@ -176,6 +189,6 @@ def build_report(
 
 def write_report_json(path: str | Path, document: dict) -> None:
     """Write the report with a stable layout (timestamp on its own line)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         json.dump(document, fh, indent=2)
         fh.write("\n")

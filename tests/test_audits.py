@@ -15,6 +15,10 @@ from swirlaudit.audits import (
     check_independent_support,
     check_sigma_algebra_proxy,
     check_uniformity,
+    min_samples_relation,
+    min_samples_support,
+    min_samples_uniformity,
+    rank_correlation,
     run_audit,
 )
 from swirlaudit.errors import (
@@ -198,6 +202,18 @@ def test_uniformity_null_pvalues_look_uniform():
     assert stats.kstest(ps, "uniform").pvalue > 0.01
 
 
+def test_uniformity_pvalue_equals_scipy_chi2_sf():
+    # the p-value is the chi-square survival function itself, bit for bit
+    Zp = paired(n=20_000, seed=9)[1]
+    for bins in (2, 10, 17):
+        counts, _, _ = np.histogram2d(
+            Zp.points[:, 0], Zp.points[:, 1], bins=bins, range=[(-1, 1), (-1, 1)]
+        )
+        expected = Zp.n / bins**2
+        statistic = float(((counts - expected) ** 2 / expected).sum())
+        assert check_uniformity(Zp, bins) == float(stats.chi2.sf(statistic, bins**2 - 1))
+
+
 def test_uniformity_swirled_cloud():
     _, Zp = paired(seed=4)
     assert check_uniformity(Zp, 10) > 0.001
@@ -230,6 +246,31 @@ def test_uniformity_undersampled():
 
 # ---------------------------------------------------------------------------
 # coordinate-wise relation
+
+
+@pytest.mark.parametrize("levels", [None, 7, 2])
+def test_rank_correlation_matches_spearman(levels):
+    # levels=None: continuous data, no ties; otherwise heavy ties on both axes
+    rng = np.random.default_rng(levels or 0)
+    x = rng.random(5000)
+    y = x + 0.5 * rng.random(5000)
+    if levels is not None:
+        x, y = np.floor(x * levels), np.floor(y * levels)
+    for a, b in ((x, y), (x, -y), (y, rng.permutation(x))):
+        assert abs(rank_correlation(a, b) - stats.spearmanr(a, b).statistic) <= 1e-12
+
+
+def test_undersampled_errors_report_the_shared_bounds():
+    D = sa.sample_uniform_square(100, 0)
+    for check, bound in (
+        (lambda: check_independent_support(D, 10), min_samples_support(10)),
+        (lambda: check_uniformity(D, 10), min_samples_uniformity(10)),
+        (lambda: check_coordinatewise_relation(D, as_zprime(D.points), bins=50),
+         min_samples_relation(50)),
+    ):
+        with pytest.raises(UndersampledError) as info:
+            check()
+        assert info.value.required_n == bound
 
 
 def test_relation_identity_is_coordinate_wise():

@@ -1,11 +1,18 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swirlaudit
+from swirlaudit import audits
 from swirlaudit.cli import main
+from swirlaudit.errors import SwirlAuditError
 from swirlaudit.reporting import read_cloud_csv
 
 SMALL_CFG = "n = 20000\nseed = 7\n"
@@ -64,6 +71,82 @@ def test_run_unwritable_output_dir(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["run", "--config", cfg, "--out", "/dev/null/out"]) == 4
     assert "I/O failure" in capsys.readouterr().err
+
+
+def certify_then_fail(tmp_path, break_run):
+    cfg = write_cfg(tmp_path, "n = 10000\nseed = 5\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert read_json(out / "report.json")["counterexample_certified"] is True
+    break_run(out)
+    return main(["run", "--config", cfg, "--out", str(out)]), out
+
+
+def test_failed_audit_leaves_no_certified_report(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise SwirlAuditError("injected failure")
+
+    code, out = certify_then_fail(
+        tmp_path, lambda out: monkeypatch.setattr(audits, "check_uniformity", broken)
+    )
+    assert code == 5
+    assert not (out / "report.json").exists()
+
+
+def test_failed_write_leaves_no_certified_report(tmp_path):
+    def block_zprime(out):
+        (out / "zprime.csv").unlink()
+        (out / "zprime.csv").mkdir()
+
+    code, out = certify_then_fail(tmp_path, block_zprime)
+    assert code == 4
+    assert not (out / "report.json").exists()
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_failed_external_audit_leaves_no_report(tmp_path):
+    cfg = write_cfg(tmp_path, "n = 10000\nseed = 5\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    short = tmp_path / "short.csv"
+    short.write_text("z1,z2\n0.0,0.0\n", encoding="utf-8")
+    assert main(["audit-external", str(out / "z.csv"), str(short), "--out", str(out)]) == 5
+    assert not (out / "report.json").exists()
+
+
+def test_run_undersized_n_exits_3_and_writes_nothing(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "n = 100\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    for key in ("bins_support", "bins_uniformity", "bins_relation"):
+        assert key in err
+    assert not out.exists()
+
+
+def test_run_samples_once(tmp_path, monkeypatch):
+    calls = []
+    original = audits.sample_uniform_square
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # every module that holds the sampler by name, wherever run might call it
+    for module in [m for k, m in sys.modules.items() if k.startswith("swirlaudit")]:
+        if getattr(module, "sample_uniform_square", None) is original:
+            monkeypatch.setattr(module, "sample_uniform_square", counting)
+    cfg = write_cfg(tmp_path, "n = 10000\nseed = 5\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    probe = "import sys, swirlaudit.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(swirlaudit.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import swirlaudit as sa
 from swirlaudit.errors import EmptyDatasetError, MalformedRowError, PairingError
@@ -25,6 +27,49 @@ def test_cloud_csv_roundtrip_exact(tmp_path):
     back, header = read_cloud_csv(path)
     assert header == "z1,z2"
     assert np.array_equal(back, pts)  # 17 significant digits round-trip float64
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e16, -1e16]
+
+
+def reference_cloud_csv(points, header):
+    """The writer's byte format, one row at a time."""
+    rows = "".join(f"{x:.17g},{y:.17g}\n" for x, y in points.tolist())
+    return (header + "\n" + rows).encode("utf-8")
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.sampled_from([1, 65535, 65536, 65537]),
+    values=st.lists(
+        st.one_of(st.sampled_from(EDGE_VALUES),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1, max_size=64,
+    ),
+)
+@example(n=65537, values=EDGE_VALUES)
+def test_cloud_csv_bytes_match_per_row_reference(tmp_path, n, values):
+    # n straddles the writer's block size; the values repeat to fill n rows
+    pts = np.resize(np.array(values, dtype=np.float64), (n, 2))
+    path = tmp_path / "cloud.csv"
+    write_cloud_csv(path, pts, header="x1,x2")
+    assert path.read_bytes() == reference_cloud_csv(pts, "x1,x2")
+    back, header = read_cloud_csv(path)
+    assert header == "x1,x2"
+    assert back.tobytes() == pts.tobytes()  # bit-equal, signed zeros included
+
+
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "z.csv"
+    write_cloud_csv(path, np.zeros((3, 2)))
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        write_cloud_csv(path, np.zeros((3, 3)))
+    with pytest.raises(TypeError):
+        write_report_json(path, {"not serialisable": object()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["z.csv"]
 
 
 def test_cloud_csv_rejects_bad_header(tmp_path):
