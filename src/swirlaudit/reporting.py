@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -20,7 +21,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from swirlaudit._atomic import atomic_write
-from swirlaudit.audits import AuditReport, CoordRelationVerdict, support_overshoot
+from swirlaudit.audits import (
+    BOX_SLACK,
+    SIGMA_PROXY_TOL,
+    AuditReport,
+    CoordRelationVerdict,
+    support_overshoot,
+)
 from swirlaudit.errors import EmptyDatasetError, MalformedRowError
 from swirlaudit.figures import PROFILE_COLUMNS
 from swirlaudit.transforms import Dataset
@@ -35,8 +42,6 @@ __all__ = [
 ]
 
 CLOUD_HEADERS = ("z1,z2", "x1,x2")
-SIGMA_PROXY_THRESHOLD = 1e-9
-BOX_THRESHOLD = 1e-9
 
 # Rows formatted per string operation by the cloud writer: large enough to
 # amortise the per-call overhead, small enough that the block string stays a
@@ -164,9 +169,9 @@ def build_report(
         premise("continuity", report.continuity_pass, report.continuity_max_ratio,
                 report.parameters.get("l_max")),
         premise("sigma-algebra", report.sigma_algebra_pass, report.sigma_algebra_max_error,
-                SIGMA_PROXY_THRESHOLD),
+                SIGMA_PROXY_TOL),
         premise("compact-support", report.compact_support_pass,
-                support_overshoot(report.support_box, expected), BOX_THRESHOLD,
+                support_overshoot(report.support_box, expected), BOX_SLACK,
                 box=report.support_box.tolist()),
         premise("independent-support-Z", report.independent_support_pass_z,
                 report.independent_support_fraction_z, 1.0),
@@ -187,8 +192,23 @@ def build_report(
     }
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def write_report_json(path: str | Path, document: dict) -> None:
-    """Write the report with a stable layout (timestamp on its own line)."""
+    """Write the report with a stable layout (timestamp on its own line).
+
+    The file is strict JSON: a non-finite float (NaN, +-inf) is written as
+    ``null``.
+    """
     with atomic_write(path) as fh:
-        json.dump(document, fh, indent=2)
+        json.dump(_finite_or_null(document), fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -272,7 +272,7 @@ def mpa_forward(p: MpaParams, z: ArrayLike) -> NDArray[np.float64]:
     """
     z = _as_points(z)
     r = np.hypot(z[..., 0], z[..., 1])
-    theta = np.where(r <= p.c, p.a * (r - p.c), 0.0)
+    theta = p.rotation_angle(r)
     cos_t = np.cos(theta)
     sin_t = np.sin(theta)
     out = np.empty_like(z)

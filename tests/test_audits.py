@@ -2,13 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import swirlaudit as sa
 from swirlaudit.audits import (
     COORDINATE_WISE,
     NOT_COORDINATE_WISE,
+    AssignmentScores,
+    CoordRelationVerdict,
     SupportGrid,
+    _sort_order,
+    bounding_box,
     check_compact_support,
     check_continuity,
     check_coordinatewise_relation,
@@ -358,3 +364,127 @@ def test_run_audit_verdicts_stable_in_sample_size():
         assert small.premises_pass == large.premises_pass
         assert small.uniformity_pass == large.uniformity_pass
         assert small.conclusion.verdict == large.conclusion.verdict
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the code they replaced
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.sampled_from([1, 2, 1000]),
+    kind=st.sampled_from(["distinct", "ties", "signed-zeros"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sort_order_equals_stable_argsort(size, kind, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(size)
+    if kind == "ties":
+        v = np.round(v, 1)
+    elif kind == "signed-zeros":
+        v = np.where(rng.random(size) < 0.5, v, rng.choice([-0.0, 0.0], size))
+    order = _sort_order(v)
+    assert order.dtype == np.intp
+    assert np.array_equal(order, np.argsort(v, kind="stable"))
+
+
+def test_sort_order_keeps_signed_zeros_and_nan_in_stable_order():
+    for v in ([0.0, -0.0], [-0.0, 0.0, -0.0, 1.0], [np.nan, 1.0, 0.0, np.nan]):
+        v = np.array(v)
+        assert np.array_equal(_sort_order(v), np.argsort(v, kind="stable"))
+
+
+def _reference_ratio(binning, dependent, bins):
+    """One stable sort per (binning, dependent) pair, as the check once did."""
+    total_var = float(dependent.var())
+    if total_var == 0.0:
+        return 0.0
+    order = np.argsort(binning, kind="stable")
+    within = 0.0
+    for chunk in np.array_split(dependent[order], bins):
+        within += chunk.size * float(chunk.var())
+    return within / (binning.size * total_var)
+
+
+def _reference_ranks(values):
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts_group = np.empty(ordered.size, dtype=bool)
+    starts_group[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts_group[1:])
+    starts = np.flatnonzero(starts_group)
+    ends = np.append(starts[1:], ordered.size)
+    ranks = np.empty(ordered.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def _reference_note(x, y):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = float(np.corrcoef(_reference_ranks(x), _reference_ranks(y))[0, 1])
+    if rho >= 0.95:
+        return "increasing"
+    if rho <= -0.95:
+        return "decreasing"
+    return "non-monotone"
+
+
+def reference_relation(Z, Zp, bins=50, threshold=0.01):
+    """The relation check with its twelve stable sorts (eight for the scores,
+    four for the monotonicity ranks)."""
+    scored = []
+    for perm in ((0, 1), (1, 0)):
+        forward = tuple(
+            _reference_ratio(Zp.points[:, perm[j]], Z.points[:, j], bins) for j in range(2)
+        )
+        reverse = tuple(
+            _reference_ratio(Z.points[:, j], Zp.points[:, perm[j]], bins) for j in range(2)
+        )
+        scored.append(AssignmentScores(perm=perm, zprime_to_z=forward, z_to_zprime=reverse))
+    best = min(scored, key=lambda a: a.max_score)
+    return CoordRelationVerdict(
+        verdict=COORDINATE_WISE if best.max_score <= threshold else NOT_COORDINATE_WISE,
+        threshold=threshold,
+        best_assignment=best.perm,
+        best_max_score=best.max_score,
+        monotonicity=tuple(
+            _reference_note(Zp.points[:, best.perm[j]], Z.points[:, j]) for j in range(2)
+        ),
+        assignments=tuple(scored),
+    )
+
+
+def _score_bits(verdict):
+    return [
+        float(s).hex()
+        for a in verdict.assignments
+        for s in (*a.zprime_to_z, *a.z_to_zprime)
+    ] + [float(verdict.best_max_score).hex()]
+
+
+@pytest.mark.parametrize("decimals", [None, 2, 1])
+@pytest.mark.parametrize(
+    "p", [sa.MpaParams(3.6, 0.9), sa.MpaParams(0.5, 0.5), sa.MpaParams.degenerate_fixture()]
+)
+def test_relation_identical_to_twelve_sort_reference(p, decimals):
+    # decimals=None: distinct values (fast sort path); otherwise quantised
+    # clouds with heavy ties (stable fallback path)
+    for seed in (5, 6):
+        Z, Zp = paired(n=20_000, seed=seed, p=p)
+        if decimals is not None:
+            Z = Dataset(points=np.round(Z.points, decimals), label=LATENT_Z, seed=seed)
+            Zp = as_zprime(np.round(Zp.points, decimals), seed=seed)
+        got = check_coordinatewise_relation(Z, Zp, bins=40)
+        want = reference_relation(Z, Zp, bins=40)
+        assert got == want
+        assert _score_bits(got) == _score_bits(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 1001])
+def test_bounding_box_equals_axis_reduction(n):
+    pts = np.random.default_rng(n).standard_normal((n, 2))
+    for p in (pts, np.asfortranarray(pts), np.round(pts, 1)):
+        want = np.column_stack([p.min(axis=0), p.max(axis=0)])
+        got = bounding_box(p)
+        assert got.shape == (2, 2) and got.dtype == np.float64
+        assert np.array_equal(got, want)

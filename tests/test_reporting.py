@@ -167,3 +167,32 @@ def test_report_document_schema(tmp_path):
     # the timestamp sits alone on one line so byte comparisons can skip it
     lines = path.read_text(encoding="utf-8").splitlines()
     assert sum("timestamp" in line for line in lines) == 1
+
+
+def test_report_json_is_strict_with_null_for_nan(tmp_path):
+    report = sa.run_audit(
+        sa.Mixing2.from_rows(1.0, 0.5, 0.0, 1.0), sa.MpaParams(3.6, 0.9), 10_000, 3
+    )
+    document = build_report(report, tool_version="0.0-test")
+    document["uniformity_pvalue"] = float("nan")
+    document["premises"][0]["statistic"] = float("inf")
+    path = tmp_path / "report.json"
+    write_report_json(path, document)
+
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    loaded = json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+    assert loaded["uniformity_pvalue"] is None
+    assert loaded["premises"][0]["statistic"] is None
+    assert loaded["premises"][1]["statistic"] == document["premises"][1]["statistic"]
+
+
+def test_report_json_bytes_unchanged_for_finite_reports(tmp_path):
+    report = sa.run_audit(
+        sa.Mixing2.from_rows(1.0, 0.5, 0.0, 1.0), sa.MpaParams(3.6, 0.9), 10_000, 3
+    )
+    document = build_report(report, tool_version="0.0-test", timestamp="t")
+    path = tmp_path / "report.json"
+    write_report_json(path, document)
+    assert path.read_text(encoding="utf-8") == json.dumps(document, indent=2) + "\n"
