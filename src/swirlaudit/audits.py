@@ -412,7 +412,7 @@ def check_uniformity(
     return float(chdtrc(bins * bins - 1, statistic))
 
 
-def _sort_order(values: NDArray) -> NDArray[np.intp]:
+def _sort_order(values: NDArray) -> tuple[NDArray[np.intp], bool]:
     """The stable ascending order of ``values``, from the fast sort when possible.
 
     The default ``argsort`` is several times faster than the stable one, but
@@ -420,13 +420,15 @@ def _sort_order(values: NDArray) -> NDArray[np.intp]:
     increasing the values are distinct, only one permutation sorts them, and
     it is the stable order.  Otherwise (ties, -0.0 next to 0.0, NaN) the
     stable sort is run instead.  Either way the result equals
-    ``np.argsort(values, kind="stable")``.
+    ``np.argsort(values, kind="stable")``.  Returns ``(order, distinct)``,
+    where ``distinct`` is True iff the fast order was kept.
     """
     order = np.argsort(values)
     ordered = values[order]
-    if np.all(ordered[1:] > ordered[:-1]):
-        return order
-    return np.argsort(values, kind="stable")
+    distinct = bool(np.all(ordered[1:] > ordered[:-1]))
+    if not distinct:
+        order = np.argsort(values, kind="stable")
+    return order, distinct
 
 
 def _conditional_variance_ratio(
@@ -437,7 +439,7 @@ def _conditional_variance_ratio(
 
     ``binning`` is sorted once for all the columns.
     """
-    order = _sort_order(binning)
+    order, _ = _sort_order(binning)
     ratios = []
     for k in range(dependents.shape[1]):
         dependent = dependents[:, k]
@@ -454,14 +456,18 @@ def _conditional_variance_ratio(
 
 def _average_ranks(values: NDArray) -> NDArray[np.float64]:
     """1-based ranks of ``values``, tied values sharing their mean rank."""
-    order = _sort_order(values)
+    order, distinct = _sort_order(values)
+    ranks = np.empty(order.size, dtype=np.float64)
+    if distinct:
+        # every group has one member, whose mean rank is its position + 1
+        ranks[order] = np.arange(1, order.size + 1, dtype=np.float64)
+        return ranks
     ordered = values[order]
     starts_group = np.empty(ordered.size, dtype=bool)
     starts_group[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=starts_group[1:])
     starts = np.flatnonzero(starts_group)
     ends = np.append(starts[1:], ordered.size)
-    ranks = np.empty(ordered.size, dtype=np.float64)
     ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     return ranks
 

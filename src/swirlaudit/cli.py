@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -56,10 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="key = value config file")
     common.add_argument("--out", metavar="DIR", help="output directory (overrides config)")
     common.add_argument("--seed", type=int, metavar="U64", help="seed (overrides config)")
-    common.add_argument("--format", choices=["csv"], default="csv",
-                        help="point-cloud format (default: csv)")
-    common.add_argument("--report", choices=["json"], default="json",
-                        help="report format (default: json)")
 
     parser = argparse.ArgumentParser(
         prog="swirlaudit",
@@ -127,20 +125,60 @@ def _drop_stale_report(cfg: RunConfig) -> None:
     (Path(cfg.output_dir) / "report.json").unlink(missing_ok=True)
 
 
-def _emit_bundle(cfg: RunConfig, Z, X, Zp, render: bool) -> Path:
+def _write_cloud_or_exit(path: Path, points, header: str) -> None:
+    """Body of a cloud-writer child: write one cloud, exit ``EXIT_IO`` on an I/O error."""
+    try:
+        write_cloud_csv(path, points, header=header)
+    except OSError as exc:
+        print(f"error: I/O failure: {exc}", file=sys.stderr)
+        sys.exit(EXIT_IO)
+
+
+@contextmanager
+def _emit_bundle(cfg: RunConfig, Z, X, Zp, render: bool) -> Iterator[Path]:
+    """Write the output bundle; the ``with`` body runs while the clouds are written.
+
+    Where the platform can fork, each cloud is formatted and written by a
+    forked child, which inherits the points instead of receiving a pickled
+    copy, so the three clouds and the body share the cores.  Elsewhere the
+    clouds are written here before the body.  The profile (and the SVGs)
+    follow the body.  The children are joined however the body ends; a
+    child that failed raises :class:`OSError` naming its file, so no report
+    is written after it.
+    """
+    import multiprocessing  # here, so that importing the CLI stays fast
+
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_cloud_csv(out / "z.csv", Z.points, header="z1,z2")
-    write_cloud_csv(out / "x.csv", X.points, header="x1,x2")
-    write_cloud_csv(out / "zprime.csv", Zp.points, header="z1,z2")
-    write_profile_csv(out / "swirl_profile.csv", swirl_profile(Z, Zp))
-    if render:
-        span = float(max(1.0, np.abs(X.points).max())) * 1.05
-        render_scatter_svg(Z.points, out / "z.svg", title="sources Z")
-        render_scatter_svg(X.points, out / "x.svg", axis_range=(-span, span),
-                           title="observations X")
-        render_scatter_svg(Zp.points, out / "zprime.svg", title="alternate sources Z'")
-    return out
+    clouds = ((out / "z.csv", Z.points, "z1,z2"),
+              (out / "x.csv", X.points, "x1,x2"),
+              (out / "zprime.csv", Zp.points, "z1,z2"))
+    can_fork = "fork" in multiprocessing.get_all_start_methods()
+    writers = []
+    try:
+        for path, points, header in clouds:
+            if not can_fork:
+                write_cloud_csv(path, points, header=header)
+                continue
+            writer = multiprocessing.get_context("fork").Process(
+                target=_write_cloud_or_exit, args=(path, points, header), name=str(path)
+            )
+            writer.start()
+            writers.append(writer)
+        yield out
+        write_profile_csv(out / "swirl_profile.csv", swirl_profile(Z, Zp))
+        if render:
+            span = float(max(1.0, np.abs(X.points).max())) * 1.05
+            render_scatter_svg(Z.points, out / "z.svg", title="sources Z")
+            render_scatter_svg(X.points, out / "x.svg", axis_range=(-span, span),
+                               title="observations X")
+            render_scatter_svg(Zp.points, out / "zprime.svg", title="alternate sources Z'")
+    finally:
+        for writer in writers:
+            writer.join()
+    failed = [f"{w.name} (writer exit code {w.exitcode})" for w in writers if w.exitcode != 0]
+    if failed:
+        raise OSError(f"could not write {', '.join(failed)}")
 
 
 def _print_summary(document: dict) -> None:
@@ -165,16 +203,16 @@ def _cmd_run(cfg: RunConfig, render: bool) -> int:
     _drop_stale_report(cfg)
     A, p = cfg.mixing2(), cfg.mpa_params()
     Z, X, Zp = generate(A, p, cfg.n, cfg.seed)
-    report = audit_pipeline(
-        A, p, Z, X, Zp,
-        bins_support=cfg.bins_support,
-        bins_uniformity=cfg.bins_uniformity,
-        bins_relation=cfg.bins_relation,
-        functional_threshold=cfg.functional_threshold,
-        alpha=cfg.alpha,
-        l_max=cfg.l_max,
-    )
-    out = _emit_bundle(cfg, Z, X, Zp, render)
+    with _emit_bundle(cfg, Z, X, Zp, render) as out:
+        report = audit_pipeline(
+            A, p, Z, X, Zp,
+            bins_support=cfg.bins_support,
+            bins_uniformity=cfg.bins_uniformity,
+            bins_relation=cfg.bins_relation,
+            functional_threshold=cfg.functional_threshold,
+            alpha=cfg.alpha,
+            l_max=cfg.l_max,
+        )
     document = build_report(report, tool_version=__version__, config_dict=cfg.to_dict())
     write_report_json(out / "report.json", document)
     _print_summary(document)
@@ -187,7 +225,8 @@ def _cmd_run(cfg: RunConfig, render: bool) -> int:
 
 def _cmd_figures(cfg: RunConfig, render: bool) -> int:
     Z, X, Zp = generate(cfg.mixing2(), cfg.mpa_params(), cfg.n, cfg.seed)
-    out = _emit_bundle(cfg, Z, X, Zp, render)
+    with _emit_bundle(cfg, Z, X, Zp, render) as out:
+        pass  # no audit: the bundle is all that figures makes
     print(f"figure bundle written to {out}")
     return EXIT_OK
 

@@ -13,6 +13,7 @@ from swirlaudit.audits import (
     AssignmentScores,
     CoordRelationVerdict,
     SupportGrid,
+    _average_ranks,
     _sort_order,
     bounding_box,
     check_compact_support,
@@ -266,6 +267,15 @@ def test_rank_correlation_matches_spearman(levels):
         assert abs(rank_correlation(a, b) - stats.spearmanr(a, b).statistic) <= 1e-12
 
 
+
+@pytest.mark.parametrize("levels", [None, 7, 2])
+def test_average_ranks_equal_rankdata_exactly(levels):
+    # distinct values take the no-tie path, quantised ones the tie groups
+    x = np.random.default_rng(1).random(5000)
+    if levels is not None:
+        x = np.floor(x * levels)
+    assert np.array_equal(_average_ranks(x), stats.rankdata(x))
+
 def test_undersampled_errors_report_the_shared_bounds():
     D = sa.sample_uniform_square(100, 0)
     for check, bound in (
@@ -383,15 +393,18 @@ def test_sort_order_equals_stable_argsort(size, kind, seed):
         v = np.round(v, 1)
     elif kind == "signed-zeros":
         v = np.where(rng.random(size) < 0.5, v, rng.choice([-0.0, 0.0], size))
-    order = _sort_order(v)
+    order, distinct = _sort_order(v)
     assert order.dtype == np.intp
     assert np.array_equal(order, np.argsort(v, kind="stable"))
+    assert distinct == bool(np.all(np.diff(v[order]) > 0))
 
 
 def test_sort_order_keeps_signed_zeros_and_nan_in_stable_order():
     for v in ([0.0, -0.0], [-0.0, 0.0, -0.0, 1.0], [np.nan, 1.0, 0.0, np.nan]):
         v = np.array(v)
-        assert np.array_equal(_sort_order(v), np.argsort(v, kind="stable"))
+        order, distinct = _sort_order(v)
+        assert np.array_equal(order, np.argsort(v, kind="stable"))
+        assert not distinct
 
 
 def _reference_ratio(binning, dependent, bins):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,10 +11,11 @@ import numpy as np
 import pytest
 
 import swirlaudit
-from swirlaudit import audits
+from swirlaudit import audits, cli
 from swirlaudit.cli import main
 from swirlaudit.errors import SwirlAuditError
-from swirlaudit.reporting import read_cloud_csv
+from swirlaudit.config import load_config
+from swirlaudit.reporting import read_cloud_csv, write_cloud_csv
 
 SMALL_CFG = "n = 20000\nseed = 7\n"
 
@@ -82,7 +84,7 @@ def certify_then_fail(tmp_path, break_run):
     return main(["run", "--config", cfg, "--out", str(out)]), out
 
 
-def test_failed_audit_leaves_no_certified_report(tmp_path, monkeypatch):
+def test_failed_audit_leaves_no_certified_report(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise SwirlAuditError("injected failure")
 
@@ -90,18 +92,55 @@ def test_failed_audit_leaves_no_certified_report(tmp_path, monkeypatch):
         tmp_path, lambda out: monkeypatch.setattr(audits, "check_uniformity", broken)
     )
     assert code == 5
+    assert "injected failure" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+    # the cloud writers were joined although the audit failed
+    assert multiprocessing.active_children() == []
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
-def test_failed_write_leaves_no_certified_report(tmp_path):
+def test_failed_write_leaves_no_certified_report(tmp_path, capsys):
     def block_zprime(out):
         (out / "zprime.csv").unlink()
         (out / "zprime.csv").mkdir()
 
     code, out = certify_then_fail(tmp_path, block_zprime)
     assert code == 4
+    err = capsys.readouterr().err
+    assert "error: I/O failure:" in err and "zprime.csv" in err
     assert not (out / "report.json").exists()
+    assert multiprocessing.active_children() == []
     assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("start_methods", [None, ["spawn"]], ids=["native", "no-fork"])
+def test_run_clouds_equal_the_in_process_writer(tmp_path, monkeypatch, start_methods):
+    # None: this platform's start methods (forked writers where fork exists);
+    # ["spawn"]: a platform without fork, where run writes the clouds itself
+    if start_methods is not None:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: start_methods)
+    parent_writes = []
+    original = cli.write_cloud_csv
+
+    def counting(*args, **kwargs):
+        parent_writes.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_cloud_csv", counting)
+    cfg_path = write_cfg(tmp_path, "n = 10000\nseed = 5\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    forked = "fork" in multiprocessing.get_all_start_methods()
+    assert len(parent_writes) == (0 if forked else 3)
+
+    cfg = load_config(cfg_path)
+    Z, X, Zp = audits.generate(cfg.mixing2(), cfg.mpa_params(), cfg.n, cfg.seed)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    for name, points, header in (("z.csv", Z.points, "z1,z2"), ("x.csv", X.points, "x1,x2"),
+                                 ("zprime.csv", Zp.points, "z1,z2")):
+        write_cloud_csv(ref / name, points, header=header)
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
 def test_failed_external_audit_leaves_no_report(tmp_path):
@@ -141,8 +180,9 @@ def test_run_samples_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    probe = "import sys, swirlaudit.cli; print('scipy.stats' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.stats", "multiprocessing"])
+def test_cli_import_does_not_load_scipy_stats(module):
+    probe = f"import sys, swirlaudit.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(swirlaudit.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, check=True)

