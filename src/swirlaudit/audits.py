@@ -12,7 +12,8 @@ the swirled alternates ``Z'``), the checks here probe, on samples, whether
 * the alternate representation is uniform on the square,
 
 and finally whether the two representations are related by a permutation plus
-coordinate-wise bijections.  :func:`run_audit` bundles everything into an
+coordinate-wise bijections.  :func:`audit_pair` records each premise as a
+:class:`Premise` and bundles them with the conclusion into an
 :class:`AuditReport`; a certified counterexample is a run where every premise
 passes while the coordinate-wise-relation verdict fails.
 
@@ -50,6 +51,7 @@ __all__ = [
     "SupportGrid",
     "CoordRelationVerdict",
     "AssignmentScores",
+    "Premise",
     "AuditReport",
     "COORDINATE_WISE",
     "NOT_COORDINATE_WISE",
@@ -62,7 +64,7 @@ __all__ = [
     "rank_correlation",
     "run_audit",
     "generate",
-    "audit_pipeline",
+    "audit_pair",
     "bounding_box",
     "min_samples_support",
     "min_samples_uniformity",
@@ -84,6 +86,9 @@ CONTINUITY_DELTA = 1e-7
 
 # Occupancy threshold per histogram cell when estimating supports.
 DEFAULT_MIN_COUNT = 5
+
+# The canonical square that both representations must be supported in.
+_SQUARE = ((-1.0, 1.0), (-1.0, 1.0))
 
 _PERMUTATIONS = ((0, 1), (1, 0))
 
@@ -214,6 +219,24 @@ class CoordRelationVerdict:
 
 
 @dataclass(frozen=True)
+class Premise:
+    """One identifiability premise as checked on the samples.
+
+    ``passed`` and ``statistic`` are None for a premise that could not be
+    checked (continuity and sigma-algebra without analytic maps); such a
+    premise never certifies.  ``detail`` holds the report keys that follow
+    the four fixed ones: the ``note`` of an unchecked premise, or the
+    empirical support ``box``.
+    """
+
+    name: str
+    passed: bool | None
+    statistic: float | None
+    threshold: float
+    detail: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class AuditReport:
     """Pass/fail record for every identifiability premise plus the conclusion.
 
@@ -224,16 +247,7 @@ class AuditReport:
     the conclusion check still finds no coordinate-wise relation.
     """
 
-    continuity_pass: bool
-    continuity_max_ratio: float
-    sigma_algebra_pass: bool
-    sigma_algebra_max_error: float
-    compact_support_pass: bool
-    support_box: NDArray[np.float64]
-    independent_support_pass_z: bool
-    independent_support_fraction_z: float
-    independent_support_pass_zprime: bool
-    independent_support_fraction_zprime: float
+    premises: tuple[Premise, ...]
     uniformity_pvalue_zprime: float
     uniformity_alpha: float
     conclusion: CoordRelationVerdict
@@ -241,13 +255,7 @@ class AuditReport:
 
     @property
     def premises_pass(self) -> bool:
-        return (
-            self.continuity_pass
-            and self.sigma_algebra_pass
-            and self.compact_support_pass
-            and self.independent_support_pass_z
-            and self.independent_support_pass_zprime
-        )
+        return all(premise.passed for premise in self.premises)
 
     @property
     def uniformity_pass(self) -> bool:
@@ -381,9 +389,7 @@ def check_independent_support(
     return fraction == 1.0, fraction
 
 
-def check_uniformity(
-    D: Dataset, bins: int, box: ArrayLike = ((-1.0, 1.0), (-1.0, 1.0))
-) -> float:
+def check_uniformity(D: Dataset, bins: int, box: ArrayLike = _SQUARE) -> float:
     """Pearson chi-square goodness of fit against Unif on the given box.
 
     The square is cut into ``bins x bins`` equal cells; each has null
@@ -561,58 +567,33 @@ def _checked(name: str, fn, *args, **kwargs):
 def generate(A: Mixing2, p: MpaParams, n: int, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     """Draw ``n`` uniform latents and push them through the mixing and the swirl.
 
-    Returns the paired datasets ``(Z, X, Z')`` that :func:`audit_pipeline`
-    audits.
+    Returns the paired datasets ``(Z, X, Z')``; :func:`audit_pair` audits
+    ``Z`` and ``Z'`` with ``maps=(A, p, X)``.
     """
     Z = _checked("sampling", sample_uniform_square, n, seed)
     X, Zp = _checked("pipeline", apply_pipeline, A, p, Z)
     return Z, X, Zp
 
 
-def run_audit(
-    A: Mixing2,
-    p: MpaParams,
-    n: int,
-    seed: int,
-    *,
-    bins_support: int = 10,
-    bins_uniformity: int = 10,
-    bins_relation: int = 50,
-    min_count: int = DEFAULT_MIN_COUNT,
-    functional_threshold: float = 0.01,
-    alpha: float = 0.001,
-    l_max: float = 100.0,
-    continuity_pairs: int = 1000,
-) -> AuditReport:
+def run_audit(A: Mixing2, p: MpaParams, n: int, seed: int, **options) -> AuditReport:
     """Run the full generative pipeline and every audit on one sample.
 
     Draws ``n`` uniform latents, pushes them through the mixing and the
     swirl, and checks all premises before the coordinate-wise-relation
-    conclusion.  With a nondegenerate swirl the expected outcome is that all
-    premises pass, the alternate latents look uniform, and the conclusion is
+    conclusion.  ``options`` are the keyword arguments of :func:`audit_pair`.
+    With a nondegenerate swirl the expected outcome is that all premises
+    pass, the alternate latents look uniform, and the conclusion is
     ``not-coordinate-wise``: a certified counterexample.
     """
     Z, X, Zp = generate(A, p, n, seed)
-    return audit_pipeline(
-        A, p, Z, X, Zp,
-        bins_support=bins_support,
-        bins_uniformity=bins_uniformity,
-        bins_relation=bins_relation,
-        min_count=min_count,
-        functional_threshold=functional_threshold,
-        alpha=alpha,
-        l_max=l_max,
-        continuity_pairs=continuity_pairs,
-    )
+    return audit_pair(Z, Zp, maps=(A, p, X), **options)
 
 
-def audit_pipeline(
-    A: Mixing2,
-    p: MpaParams,
+def audit_pair(
     Z: Dataset,
-    X: Dataset,
     Zp: Dataset,
     *,
+    maps: tuple[Mixing2, MpaParams, Dataset] | None = None,
     bins_support: int = 10,
     bins_uniformity: int = 10,
     bins_relation: int = 50,
@@ -622,37 +603,53 @@ def audit_pipeline(
     l_max: float = 100.0,
     continuity_pairs: int = 1000,
 ) -> AuditReport:
-    """Run every audit on datasets produced by :func:`generate` with ``A`` and ``p``.
+    """Check every premise and the conclusion on the paired datasets ``Z`` and ``Z'``.
 
-    The continuity sweeps are seeded from ``Z.seed``, so auditing the output
-    of ``generate(A, p, n, seed)`` gives exactly ``run_audit(A, p, n, seed)``.
+    ``maps`` is ``(A, p, X)`` when the analytic maps exist: the mixing, the
+    swirl and the observations that :func:`generate` made along with ``Z``
+    and ``Z'``.  The continuity and sigma-algebra premises need them;
+    without them both are recorded unchecked (``passed=None``), so the
+    report cannot certify.  The continuity sweeps are seeded from
+    ``Z.seed``, so auditing the output of ``generate(A, p, n, seed)`` gives
+    exactly ``run_audit(A, p, n, seed)``.
     """
-    square = np.array([[-1.0, 1.0], [-1.0, 1.0]])
-    seed = Z.seed
+    if maps is None:
+        note = {"note": "not-applicable: no analytic maps supplied"}
+        map_premises = (
+            Premise("continuity", None, None, l_max, note),
+            Premise("sigma-algebra", None, None, SIGMA_PROXY_TOL, note),
+        )
+        parameters = {"n": Z.n, "seed": None}
+    else:
+        A, p, X = maps
+        x_box = bounding_box(X.points)
+        f_pass, f_ratio = _checked(
+            "continuity", check_continuity, lambda x: unmix(A, x), x_box,
+            n_pairs=continuity_pairs, seed=[Z.seed, 1], l_max=l_max,
+        )
+        fp_pass, fp_ratio = _checked(
+            "continuity", check_continuity, lambda x: mpa_forward(p, unmix(A, x)), x_box,
+            n_pairs=continuity_pairs, seed=[Z.seed, 2], l_max=l_max,
+        )
+        sigma_pass, sigma_err = _checked(
+            "sigma-algebra", check_sigma_algebra_proxy, Z, Zp,
+            lambda z: mpa_forward(p, z), lambda zp: mpa_inverse(p, zp),
+        )
+        map_premises = (
+            Premise("continuity", f_pass and fp_pass, max(f_ratio, fp_ratio), l_max),
+            Premise("sigma-algebra", sigma_pass, sigma_err, SIGMA_PROXY_TOL),
+        )
+        parameters = {
+            "a": p.a,
+            "c": p.c,
+            "degenerate_a": p.degenerate,
+            "A": A.matrix.tolist(),
+            "n": Z.n,
+            "seed": Z.seed,
+        }
 
-    def to_sources(x):
-        return unmix(A, x)
-
-    def to_alternates(x):
-        return mpa_forward(p, unmix(A, x))
-
-    x_box = bounding_box(X.points)
-    f_pass, f_ratio = _checked(
-        "continuity", check_continuity, to_sources, x_box,
-        n_pairs=continuity_pairs, seed=[seed, 1], l_max=l_max,
-    )
-    fp_pass, fp_ratio = _checked(
-        "continuity", check_continuity, to_alternates, x_box,
-        n_pairs=continuity_pairs, seed=[seed, 2], l_max=l_max,
-    )
-
-    sigma_pass, sigma_err = _checked(
-        "sigma-algebra", check_sigma_algebra_proxy, Z, Zp,
-        lambda z: mpa_forward(p, z), lambda zp: mpa_inverse(p, zp),
-    )
-
-    z_ok, z_box = _checked("compact-support", check_compact_support, Z, square)
-    zp_ok, zp_box = _checked("compact-support", check_compact_support, Zp, square)
+    z_ok, z_box = _checked("compact-support", check_compact_support, Z, _SQUARE)
+    zp_ok, zp_box = _checked("compact-support", check_compact_support, Zp, _SQUARE)
     union_box = np.column_stack(
         [np.minimum(z_box[:, 0], zp_box[:, 0]), np.maximum(z_box[:, 1], zp_box[:, 1])]
     )
@@ -672,26 +669,18 @@ def audit_pipeline(
     )
 
     return AuditReport(
-        continuity_pass=f_pass and fp_pass,
-        continuity_max_ratio=max(f_ratio, fp_ratio),
-        sigma_algebra_pass=sigma_pass,
-        sigma_algebra_max_error=sigma_err,
-        compact_support_pass=z_ok and zp_ok,
-        support_box=union_box,
-        independent_support_pass_z=is_z,
-        independent_support_fraction_z=frac_z,
-        independent_support_pass_zprime=is_zp,
-        independent_support_fraction_zprime=frac_zp,
+        premises=(
+            *map_premises,
+            Premise("compact-support", z_ok and zp_ok, support_overshoot(union_box, _SQUARE),
+                    BOX_SLACK, {"box": union_box.tolist()}),
+            Premise("independent-support-Z", is_z, frac_z, 1.0),
+            Premise("independent-support-Zprime", is_zp, frac_zp, 1.0),
+        ),
         uniformity_pvalue_zprime=pvalue,
         uniformity_alpha=alpha,
         conclusion=conclusion,
         parameters={
-            "a": p.a,
-            "c": p.c,
-            "degenerate_a": p.degenerate,
-            "A": A.matrix.tolist(),
-            "n": Z.n,
-            "seed": seed,
+            **parameters,
             "bins_support": bins_support,
             "bins_uniformity": bins_uniformity,
             "bins_relation": bins_relation,

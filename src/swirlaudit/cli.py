@@ -21,12 +21,7 @@ import numpy as np
 
 from swirlaudit import __version__
 from swirlaudit.audits import (
-    AuditReport,
-    audit_pipeline,
-    check_compact_support,
-    check_coordinatewise_relation,
-    check_independent_support,
-    check_uniformity,
+    audit_pair,
     generate,
     min_samples_relation,
     min_samples_support,
@@ -49,8 +44,6 @@ EXIT_NOT_CERTIFIED = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
 EXIT_DATA = 5
-
-_SQUARE = np.array([[-1.0, 1.0], [-1.0, 1.0]])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,6 +111,21 @@ def _check_sample_size(cfg: RunConfig) -> None:
     ]
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
+
+
+def _audit_options(cfg: RunConfig) -> dict:
+    """The audit's bins and thresholds from ``cfg``, all but ``l_max``.
+
+    These are also the audit parameters an external report lists; ``l_max``
+    bounds the continuity sweep, which external clouds do not get.
+    """
+    return {
+        "bins_support": cfg.bins_support,
+        "bins_uniformity": cfg.bins_uniformity,
+        "bins_relation": cfg.bins_relation,
+        "functional_threshold": cfg.functional_threshold,
+        "alpha": cfg.alpha,
+    }
 
 
 def _drop_stale_report(cfg: RunConfig) -> None:
@@ -190,7 +198,7 @@ def _print_summary(document: dict) -> None:
     print(f"counterexample certified       {document['counterexample_certified']}")
 
 
-def _not_certified_category(report: AuditReport, degenerate: bool) -> str:
+def _not_certified_category(report, degenerate: bool) -> str:
     if not report.premises_pass:
         return "premise-failure"
     if not report.uniformity_pass:
@@ -204,15 +212,7 @@ def _cmd_run(cfg: RunConfig, render: bool) -> int:
     A, p = cfg.mixing2(), cfg.mpa_params()
     Z, X, Zp = generate(A, p, cfg.n, cfg.seed)
     with _emit_bundle(cfg, Z, X, Zp, render) as out:
-        report = audit_pipeline(
-            A, p, Z, X, Zp,
-            bins_support=cfg.bins_support,
-            bins_uniformity=cfg.bins_uniformity,
-            bins_relation=cfg.bins_relation,
-            functional_threshold=cfg.functional_threshold,
-            alpha=cfg.alpha,
-            l_max=cfg.l_max,
-        )
+        report = audit_pair(Z, Zp, maps=(A, p, X), l_max=cfg.l_max, **_audit_options(cfg))
     document = build_report(report, tool_version=__version__, config_dict=cfg.to_dict())
     write_report_json(out / "report.json", document)
     _print_summary(document)
@@ -239,45 +239,12 @@ def _cmd_audit_external(cfg: RunConfig, z_path: str, zp_path: str) -> int:
         print(f"error: row-count mismatch: {Z.n} vs {Zp.n}", file=sys.stderr)
         return EXIT_DATA
 
-    z_ok, z_box = check_compact_support(Z, _SQUARE)
-    zp_ok, zp_box = check_compact_support(Zp, _SQUARE)
-    union_box = np.column_stack(
-        [np.minimum(z_box[:, 0], zp_box[:, 0]), np.maximum(z_box[:, 1], zp_box[:, 1])]
-    )
-    is_z, frac_z = check_independent_support(Z, cfg.bins_support)
-    is_zp, frac_zp = check_independent_support(Zp, cfg.bins_support)
-    pvalue = check_uniformity(Zp, cfg.bins_uniformity)
-    conclusion = check_coordinatewise_relation(
-        Z, Zp, bins=cfg.bins_relation, threshold=cfg.functional_threshold
-    )
-
-    report = AuditReport(
-        continuity_pass=False,
-        continuity_max_ratio=float("nan"),
-        sigma_algebra_pass=False,
-        sigma_algebra_max_error=float("nan"),
-        compact_support_pass=z_ok and zp_ok,
-        support_box=union_box,
-        independent_support_pass_z=is_z,
-        independent_support_fraction_z=frac_z,
-        independent_support_pass_zprime=is_zp,
-        independent_support_fraction_zprime=frac_zp,
-        uniformity_pvalue_zprime=pvalue,
-        uniformity_alpha=cfg.alpha,
-        conclusion=conclusion,
-        parameters={"seed": None, "l_max": cfg.l_max},
-    )
-    not_applicable = "not-applicable: no analytic maps supplied"
+    options = _audit_options(cfg)
+    report = audit_pair(Z, Zp, l_max=cfg.l_max, **options)
     document = build_report(
         report,
         tool_version=__version__,
-        config_dict={
-            "z_csv": str(z_path), "zprime_csv": str(zp_path), "n": Z.n,
-            "bins_support": cfg.bins_support, "bins_uniformity": cfg.bins_uniformity,
-            "bins_relation": cfg.bins_relation,
-            "functional_threshold": cfg.functional_threshold, "alpha": cfg.alpha,
-        },
-        skipped_premises={"continuity": not_applicable, "sigma-algebra": not_applicable},
+        config_dict={"z_csv": str(z_path), "zprime_csv": str(zp_path), "n": Z.n, **options},
     )
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -18,9 +18,7 @@ from swirlaudit._atomic import atomic_write
 from swirlaudit.errors import PairingError
 from swirlaudit.transforms import Dataset
 
-__all__ = ["swirl_profile", "render_scatter_svg", "PROFILE_COLUMNS"]
-
-PROFILE_COLUMNS = ("r_lo", "r_hi", "r_mean", "count", "mean_angle")
+__all__ = ["swirl_profile", "render_scatter_svg"]
 
 _PROFILE_DTYPE = np.dtype(
     [

@@ -21,15 +21,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from swirlaudit._atomic import atomic_write
-from swirlaudit.audits import (
-    BOX_SLACK,
-    SIGMA_PROXY_TOL,
-    AuditReport,
-    CoordRelationVerdict,
-    support_overshoot,
-)
+from swirlaudit.audits import AuditReport, CoordRelationVerdict
 from swirlaudit.errors import EmptyDatasetError, MalformedRowError
-from swirlaudit.figures import PROFILE_COLUMNS
 from swirlaudit.transforms import Dataset
 
 __all__ = [
@@ -115,7 +108,7 @@ def load_external_cloud(path: str | Path, label: str) -> Dataset:
 def write_profile_csv(path: str | Path, profile: NDArray) -> None:
     """Write a swirl-profile table (structured array) as CSV."""
     with atomic_write(path) as fh:
-        fh.write(",".join(PROFILE_COLUMNS) + "\n")
+        fh.write(",".join(profile.dtype.names) + "\n")
         for row in profile:
             fh.write(
                 f"{_fmt(row['r_lo'])},{_fmt(row['r_hi'])},{_fmt(row['r_mean'])},"
@@ -147,44 +140,20 @@ def build_report(
     *,
     tool_version: str,
     config_dict: dict | None = None,
-    skipped_premises: dict[str, str] | None = None,
     timestamp: str | None = None,
 ) -> dict:
-    """Assemble the machine-readable report document.
-
-    ``skipped_premises`` maps premise names to the reason they were not run
-    (used when auditing external clouds, where no analytic maps exist).
-    """
-    skipped = skipped_premises or {}
-    expected = np.array([[-1.0, 1.0], [-1.0, 1.0]])
-
-    def premise(name, passed, statistic, threshold, **extra):
-        entry = {"name": name, "pass": passed, "statistic": statistic, "threshold": threshold}
-        if name in skipped:
-            entry.update({"pass": None, "statistic": None, "note": skipped[name]})
-        entry.update(extra)
-        return entry
-
-    premises = [
-        premise("continuity", report.continuity_pass, report.continuity_max_ratio,
-                report.parameters.get("l_max")),
-        premise("sigma-algebra", report.sigma_algebra_pass, report.sigma_algebra_max_error,
-                SIGMA_PROXY_TOL),
-        premise("compact-support", report.compact_support_pass,
-                support_overshoot(report.support_box, expected), BOX_SLACK,
-                box=report.support_box.tolist()),
-        premise("independent-support-Z", report.independent_support_pass_z,
-                report.independent_support_fraction_z, 1.0),
-        premise("independent-support-Zprime", report.independent_support_pass_zprime,
-                report.independent_support_fraction_zprime, 1.0),
-    ]
+    """Assemble the machine-readable report document."""
     return {
         "tool": "swirlaudit",
         "version": tool_version,
         "timestamp": timestamp or datetime.now(timezone.utc).isoformat(),
         "seed": report.parameters.get("seed"),
         "parameters": config_dict if config_dict is not None else dict(report.parameters),
-        "premises": premises,
+        "premises": [
+            {"name": p.name, "pass": p.passed, "statistic": p.statistic,
+             "threshold": p.threshold, **p.detail}
+            for p in report.premises
+        ],
         "uniformity_pvalue": report.uniformity_pvalue_zprime,
         "uniformity_alpha": report.uniformity_alpha,
         "relation": _relation_dict(report.conclusion),

@@ -40,11 +40,13 @@ def test_counterexample_certified_across_seeds():
     p = sa.MpaParams(3.6, 0.9)
     for seed in SEEDS:
         report = run_audit(A, p, N, seed)
-        assert report.continuity_pass, f"seed {seed}: continuity"
-        assert report.sigma_algebra_pass, f"seed {seed}: sigma-algebra"
-        assert report.compact_support_pass, f"seed {seed}: compact support"
-        assert report.independent_support_pass_z, f"seed {seed}: independent support Z"
-        assert report.independent_support_pass_zprime, f"seed {seed}: independent support Z'"
+        assert {p.name: p.passed for p in report.premises} == {
+            "continuity": True,
+            "sigma-algebra": True,
+            "compact-support": True,
+            "independent-support-Z": True,
+            "independent-support-Zprime": True,
+        }, f"seed {seed}: premises"
         assert report.uniformity_pvalue_zprime > 0.001, f"seed {seed}: uniformity"
         assert report.conclusion.verdict == NOT_COORDINATE_WISE, f"seed {seed}: verdict"
         assert report.counterexample_certified, f"seed {seed}: certification"

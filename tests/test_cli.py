@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -250,6 +251,41 @@ def test_audit_external_pipeline_pair_not_coordinate_wise(tmp_path):
     report = read_json(out / "report.json")
     assert report["relation"]["verdict"] == "not-coordinate-wise"
     assert report["uniformity_pvalue"] > 0.001
+
+
+def test_audit_external_agrees_with_run(tmp_path):
+    # the same pair audited by both commands: every check both make agrees
+    cfg = write_cfg(tmp_path)
+    gen = tmp_path / "gen"
+    assert main(["run", "--config", cfg, "--out", str(gen)]) == 0
+    out = tmp_path / "ext"
+    assert main(["audit-external", str(gen / "z.csv"), str(gen / "zprime.csv"),
+                 "--config", cfg, "--out", str(out)]) == 0
+    ran, external = read_json(gen / "report.json"), read_json(out / "report.json")
+    premises = {e["name"]: e for e in ran["premises"]}
+    for entry in external["premises"]:
+        if entry["name"] in ("continuity", "sigma-algebra"):
+            assert entry["pass"] is None and entry["statistic"] is None
+            assert entry["note"] == "not-applicable: no analytic maps supplied"
+        else:
+            assert entry == premises[entry["name"]]
+    assert len(external["premises"]) == len(premises)
+    assert external["uniformity_pvalue"] == ran["uniformity_pvalue"]
+    assert external["relation"] == ran["relation"]
+    assert ran["counterexample_certified"] is True
+    assert external["counterexample_certified"] is False
+
+
+def test_audit_external_undersized_clouds_name_the_check(tmp_path, capsys):
+    Z = swirlaudit.sample_uniform_square(100, seed=3)
+    write_cloud_csv(tmp_path / "z.csv", Z.points, header="z1,z2")
+    write_cloud_csv(tmp_path / "zprime.csv", Z.points[::-1], header="z1,z2")
+    out = tmp_path / "out"
+    code = main(["audit-external", str(tmp_path / "z.csv"), str(tmp_path / "zprime.csv"),
+                 "--out", str(out)])
+    assert code == 5
+    assert re.search(r"\[independent-support\].*n >= 2500", capsys.readouterr().err)
+    assert not (out / "report.json").exists()
 
 
 def test_audit_external_malformed_rows(tmp_path, capsys):

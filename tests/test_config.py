@@ -1,9 +1,12 @@
 """Tests for the flat key = value configuration format."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from swirlaudit.config import RunConfig, load_config
 from swirlaudit.errors import ConfigError
+from swirlaudit.transforms import Mixing2
 
 
 def write(tmp_path, text):
@@ -75,3 +78,51 @@ def test_all_violations_reported_together(tmp_path):
 def test_degenerate_flag_not_a_config_key(tmp_path):
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(write(tmp_path, "degenerate_a = true\n"))
+
+
+def _nonsingular(entries):
+    try:
+        Mixing2.from_rows(*entries)
+    except ValueError:
+        return False
+    return True
+
+
+def config_text(cfg):
+    """``cfg`` as a config file: floats by ``repr``, ``mixing`` as ``A``."""
+    lines = []
+    for key, value in cfg.to_dict().items():
+        if key == "degenerate_a":
+            continue  # not a config key
+        if key == "mixing":
+            key, value = "A", ", ".join(map(repr, value))
+        lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}")
+    return "\n".join(lines) + "\n"
+
+
+_open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_bins = st.integers(2, 10_000)
+
+valid_configs = st.builds(
+    RunConfig,
+    n=st.integers(1, 2**63),
+    seed=st.integers(0, 2**64 - 1),
+    a=st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != 0.0),
+    c=_open_unit,
+    mixing=st.tuples(*[st.floats(-1e3, 1e3)] * 4).filter(_nonsingular),
+    bins_support=_bins,
+    bins_uniformity=_bins,
+    bins_relation=_bins,
+    functional_threshold=_open_unit,
+    alpha=_open_unit,
+    l_max=st.floats(0.0, exclude_min=True, allow_infinity=False),
+    output_dir=st.text(st.characters(categories=("L", "N")) | st.sampled_from("/._- "))
+    .map(str.strip),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=valid_configs)
+def test_config_file_round_trip(tmp_path, cfg):
+    assert load_config(write(tmp_path, config_text(cfg))) == cfg
