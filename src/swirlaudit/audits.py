@@ -30,12 +30,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 from scipy.special import chdtrc
 
-from swirlaudit.errors import (
-    InvalidDomainError,
-    PairingError,
-    SwirlAuditError,
-    UndersampledError,
-)
+from swirlaudit.errors import InvalidDomainError, PairingError, UndersampledError
 from swirlaudit.transforms import (
     Dataset,
     Mixing2,
@@ -69,6 +64,8 @@ __all__ = [
     "min_samples_support",
     "min_samples_uniformity",
     "min_samples_relation",
+    "SAMPLE_FLOORS",
+    "sample_floor_misses",
 ]
 
 COORDINATE_WISE = "coordinate-wise"
@@ -85,7 +82,7 @@ BOX_SLACK = 1e-9
 CONTINUITY_DELTA = 1e-7
 
 # Occupancy threshold per histogram cell when estimating supports.
-DEFAULT_MIN_COUNT = 5
+MIN_COUNT = 5
 
 # The canonical square that both representations must be supported in.
 _SQUARE = ((-1.0, 1.0), (-1.0, 1.0))
@@ -93,9 +90,9 @@ _SQUARE = ((-1.0, 1.0), (-1.0, 1.0))
 _PERMUTATIONS = ((0, 1), (1, 0))
 
 
-def min_samples_support(bins: int, min_count: int = DEFAULT_MIN_COUNT) -> int:
-    """Smallest n the independent-support check accepts: 5 * min_count per cell."""
-    return bins * bins * min_count * 5
+def min_samples_support(bins: int) -> int:
+    """Smallest n the independent-support check accepts: 5 * MIN_COUNT per cell."""
+    return bins * bins * MIN_COUNT * 5
 
 
 def min_samples_uniformity(bins: int) -> int:
@@ -106,6 +103,34 @@ def min_samples_uniformity(bins: int) -> int:
 def min_samples_relation(bins: int) -> int:
     """Smallest n the relation check accepts: 50 samples per equal-count bin."""
     return 50 * bins
+
+
+# Every binned check's floor on n: the check's name in errors, the setting
+# that holds its bins, and the smallest n those bins need.
+SAMPLE_FLOORS = (
+    ("independent-support", "bins_support", min_samples_support),
+    ("uniformity", "bins_uniformity", min_samples_uniformity),
+    ("relation", "bins_relation", min_samples_relation),
+)
+
+
+def sample_floor_misses(n: int, bins: dict) -> list[tuple[str, str, int]]:
+    """``(check, setting, required_n)`` for each floor of :data:`SAMPLE_FLOORS`
+    that ``n`` misses; only the settings that ``bins`` holds are looked at."""
+    return [(check, key, floor(bins[key])) for check, key, floor in SAMPLE_FLOORS
+            if key in bins and n < floor(bins[key])]
+
+
+def _require_samples(n: int, **bins: int) -> None:
+    """Raise one :class:`UndersampledError` naming every floor ``n`` misses; its
+    ``required_n`` is the largest of them."""
+    misses = sample_floor_misses(n, bins)
+    if misses:
+        raise UndersampledError(
+            "\n  ".join(f"[{check}] needs n >= {required} for {key} = {bins[key]}, got n = {n}"
+                        for check, key, required in misses),
+            required_n=max(required for _, _, required in misses),
+        )
 
 
 def bounding_box(points: ArrayLike) -> NDArray[np.float64]:
@@ -276,15 +301,15 @@ def check_continuity(
     n_pairs: int = 1000,
     seed: int | ArrayLike = 0,
     l_max: float = 100.0,
-    delta: float = CONTINUITY_DELTA,
 ) -> tuple[bool, float]:
     """Scan for gross discontinuities of a planar map over a box.
 
     Samples ``n_pairs`` base points uniformly in ``domain_box`` and measures
     the displacement ratio ``|T(z + d) - T(z)| / |d|`` for a random direction
-    ``d`` of length ``delta``.  Passes iff the largest observed ratio stays at
-    or below ``l_max``.  This can falsify continuity (a jump crossed by some
-    pair produces a ratio of order ``1/delta``) but can never prove it.
+    ``d`` of length ``CONTINUITY_DELTA`` (1e-7).  Passes iff the largest
+    observed ratio stays at or below ``l_max``.  This can falsify continuity
+    (a jump crossed by some pair produces a ratio of order 1e7) but can never
+    prove it.
 
     Returns
     -------
@@ -301,10 +326,10 @@ def check_continuity(
     rng = np.random.default_rng(seed)
     base = box[:, 0] + rng.random((n_pairs, 2)) * widths
     angles = rng.random(n_pairs) * 2.0 * np.pi
-    offsets = delta * np.column_stack([np.cos(angles), np.sin(angles)])
+    offsets = CONTINUITY_DELTA * np.column_stack([np.cos(angles), np.sin(angles)])
     moved = np.asarray(transform(base + offsets), dtype=np.float64)
     here = np.asarray(transform(base), dtype=np.float64)
-    ratios = np.hypot(*(moved - here).T) / delta
+    ratios = np.hypot(*(moved - here).T) / CONTINUITY_DELTA
     max_ratio = float(ratios.max())
     return max_ratio <= l_max, max_ratio
 
@@ -360,12 +385,11 @@ def support_overshoot(box: NDArray[np.float64], expected_box: ArrayLike) -> floa
     )
 
 
-def check_independent_support(
-    D: Dataset, bins: int, min_count: int = DEFAULT_MIN_COUNT
-) -> tuple[bool, float]:
+def check_independent_support(D: Dataset, bins: int) -> tuple[bool, float]:
     """Test whether the joint support factorizes into its marginal supports.
 
-    Builds an occupancy grid over the empirical bounding box and passes iff
+    Builds an occupancy grid over the empirical bounding box, a cell being
+    occupied when it holds ``MIN_COUNT`` (5) samples, and passes iff
     every cell of the product of occupied marginal cells is itself occupied.
     The returned fraction is the share of product cells that are occupied;
     data supported on a rectangle gives 1.0, a disk leaves its corner product
@@ -374,26 +398,20 @@ def check_independent_support(
     Raises
     ------
     UndersampledError
-        If ``n < bins**2 * min_count * 5`` (too few samples per cell to call
-        empty cells empty with any confidence).
+        If ``n < min_samples_support(bins)`` (25 samples per cell), too few
+        to call empty cells empty with any confidence.
     """
-    required = min_samples_support(bins, min_count)
-    if D.n < required:
-        raise UndersampledError(
-            f"independent-support check needs n >= {required} for bins={bins}, "
-            f"min_count={min_count}; got n = {D.n}",
-            required_n=required,
-        )
-    grid = SupportGrid.from_points(D.points, bins_per_axis=bins, min_count=min_count)
+    _require_samples(D.n, bins_support=bins)
+    grid = SupportGrid.from_points(D.points, bins_per_axis=bins, min_count=MIN_COUNT)
     fraction = grid.product_occupancy_fraction()
     return fraction == 1.0, fraction
 
 
-def check_uniformity(D: Dataset, bins: int, box: ArrayLike = _SQUARE) -> float:
-    """Pearson chi-square goodness of fit against Unif on the given box.
+def check_uniformity(D: Dataset, bins: int) -> float:
+    """Pearson chi-square goodness of fit against Unif on the square ``[-1, 1]^2``.
 
     The square is cut into ``bins x bins`` equal cells; each has null
-    probability ``1/bins**2``.  Samples falling outside the box deplete the
+    probability ``1/bins**2``.  Samples falling outside the square deplete the
     observed counts and push the statistic up, as they should under this
     null.  Returns the p-value from the chi-square survival function with
     ``bins**2 - 1`` degrees of freedom.
@@ -401,18 +419,11 @@ def check_uniformity(D: Dataset, bins: int, box: ArrayLike = _SQUARE) -> float:
     Raises
     ------
     UndersampledError
-        If ``n < 5 * bins**2`` (rule of thumb for chi-square validity).
+        If ``n < min_samples_uniformity(bins)`` (rule of thumb for
+        chi-square validity).
     """
-    required = min_samples_uniformity(bins)
-    if D.n < required:
-        raise UndersampledError(
-            f"uniformity check needs n >= {required} for bins={bins}; got n = {D.n}",
-            required_n=required,
-        )
-    box = np.asarray(box, dtype=np.float64)
-    counts, _, _ = np.histogram2d(
-        D.points[:, 0], D.points[:, 1], bins=bins, range=[tuple(box[0]), tuple(box[1])]
-    )
+    _require_samples(D.n, bins_uniformity=bins)
+    counts, _, _ = np.histogram2d(D.points[:, 0], D.points[:, 1], bins=bins, range=_SQUARE)
     expected = D.n / (bins * bins)
     statistic = float(((counts - expected) ** 2 / expected).sum())
     return float(chdtrc(bins * bins - 1, statistic))
@@ -518,16 +529,11 @@ def check_coordinatewise_relation(
     PairingError
         If the datasets differ in length.
     UndersampledError
-        If ``n < 50 * bins``.
+        If ``n < min_samples_relation(bins)``.
     """
     if Z.n != Zp.n:
         raise PairingError(f"datasets are not paired: {Z.n} vs {Zp.n} points")
-    required = min_samples_relation(bins)
-    if Z.n < required:
-        raise UndersampledError(
-            f"relation check needs n >= {required} for bins={bins}; got n = {Z.n}",
-            required_n=required,
-        )
+    _require_samples(Z.n, bins_relation=bins)
     # to_z[k][j] bins Z'_k and scores Z_j; to_zp[j][k] bins Z_j and scores Z'_k.
     # Each column is sorted once for the scores, one sort order alive at a time.
     to_z = [_conditional_variance_ratio(Zp.points[:, k], Z.points, bins) for k in range(2)]
@@ -555,23 +561,14 @@ def check_coordinatewise_relation(
     )
 
 
-def _checked(name: str, fn, *args, **kwargs):
-    """Run one audit component, attaching the check identity to any failure."""
-    try:
-        return fn(*args, **kwargs)
-    except SwirlAuditError as exc:
-        exc.args = (f"[{name}] {exc.args[0]}",) + exc.args[1:]
-        raise
-
-
 def generate(A: Mixing2, p: MpaParams, n: int, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     """Draw ``n`` uniform latents and push them through the mixing and the swirl.
 
     Returns the paired datasets ``(Z, X, Z')``; :func:`audit_pair` audits
     ``Z`` and ``Z'`` with ``maps=(A, p, X)``.
     """
-    Z = _checked("sampling", sample_uniform_square, n, seed)
-    X, Zp = _checked("pipeline", apply_pipeline, A, p, Z)
+    Z = sample_uniform_square(n, seed)
+    X, Zp = apply_pipeline(A, p, Z)
     return Z, X, Zp
 
 
@@ -597,11 +594,9 @@ def audit_pair(
     bins_support: int = 10,
     bins_uniformity: int = 10,
     bins_relation: int = 50,
-    min_count: int = DEFAULT_MIN_COUNT,
     functional_threshold: float = 0.01,
     alpha: float = 0.001,
     l_max: float = 100.0,
-    continuity_pairs: int = 1000,
 ) -> AuditReport:
     """Check every premise and the conclusion on the paired datasets ``Z`` and ``Z'``.
 
@@ -612,7 +607,15 @@ def audit_pair(
     report cannot certify.  The continuity sweeps are seeded from
     ``Z.seed``, so auditing the output of ``generate(A, p, n, seed)`` gives
     exactly ``run_audit(A, p, n, seed)``.
+
+    The input is checked before the first check runs: unpaired clouds raise
+    :class:`PairingError`, and an ``n`` below any floor of :data:`SAMPLE_FLOORS`
+    raises one :class:`UndersampledError` that names every floor missed.
     """
+    if Z.n != Zp.n:
+        raise PairingError(f"datasets are not paired: {Z.n} vs {Zp.n} points")
+    _require_samples(Z.n, bins_support=bins_support, bins_uniformity=bins_uniformity,
+                     bins_relation=bins_relation)
     if maps is None:
         note = {"note": "not-applicable: no analytic maps supplied"}
         map_premises = (
@@ -623,17 +626,14 @@ def audit_pair(
     else:
         A, p, X = maps
         x_box = bounding_box(X.points)
-        f_pass, f_ratio = _checked(
-            "continuity", check_continuity, lambda x: unmix(A, x), x_box,
-            n_pairs=continuity_pairs, seed=[Z.seed, 1], l_max=l_max,
+        f_pass, f_ratio = check_continuity(
+            lambda x: unmix(A, x), x_box, seed=[Z.seed, 1], l_max=l_max
         )
-        fp_pass, fp_ratio = _checked(
-            "continuity", check_continuity, lambda x: mpa_forward(p, unmix(A, x)), x_box,
-            n_pairs=continuity_pairs, seed=[Z.seed, 2], l_max=l_max,
+        fp_pass, fp_ratio = check_continuity(
+            lambda x: mpa_forward(p, unmix(A, x)), x_box, seed=[Z.seed, 2], l_max=l_max
         )
-        sigma_pass, sigma_err = _checked(
-            "sigma-algebra", check_sigma_algebra_proxy, Z, Zp,
-            lambda z: mpa_forward(p, z), lambda zp: mpa_inverse(p, zp),
+        sigma_pass, sigma_err = check_sigma_algebra_proxy(
+            Z, Zp, lambda z: mpa_forward(p, z), lambda zp: mpa_inverse(p, zp)
         )
         map_premises = (
             Premise("continuity", f_pass and fp_pass, max(f_ratio, fp_ratio), l_max),
@@ -648,24 +648,16 @@ def audit_pair(
             "seed": Z.seed,
         }
 
-    z_ok, z_box = _checked("compact-support", check_compact_support, Z, _SQUARE)
-    zp_ok, zp_box = _checked("compact-support", check_compact_support, Zp, _SQUARE)
+    z_ok, z_box = check_compact_support(Z, _SQUARE)
+    zp_ok, zp_box = check_compact_support(Zp, _SQUARE)
     union_box = np.column_stack(
         [np.minimum(z_box[:, 0], zp_box[:, 0]), np.maximum(z_box[:, 1], zp_box[:, 1])]
     )
-
-    is_z, frac_z = _checked(
-        "independent-support", check_independent_support, Z, bins_support, min_count
-    )
-    is_zp, frac_zp = _checked(
-        "independent-support", check_independent_support, Zp, bins_support, min_count
-    )
-
-    pvalue = _checked("uniformity", check_uniformity, Zp, bins_uniformity)
-
-    conclusion = _checked(
-        "relation", check_coordinatewise_relation, Z, Zp,
-        bins=bins_relation, threshold=functional_threshold,
+    is_z, frac_z = check_independent_support(Z, bins_support)
+    is_zp, frac_zp = check_independent_support(Zp, bins_support)
+    pvalue = check_uniformity(Zp, bins_uniformity)
+    conclusion = check_coordinatewise_relation(
+        Z, Zp, bins=bins_relation, threshold=functional_threshold
     )
 
     return AuditReport(
@@ -684,7 +676,7 @@ def audit_pair(
             "bins_support": bins_support,
             "bins_uniformity": bins_uniformity,
             "bins_relation": bins_relation,
-            "min_count": min_count,
+            "min_count": MIN_COUNT,
             "functional_threshold": functional_threshold,
             "alpha": alpha,
             "l_max": l_max,

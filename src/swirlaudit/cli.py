@@ -14,19 +14,14 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from swirlaudit import __version__
-from swirlaudit.audits import (
-    audit_pair,
-    generate,
-    min_samples_relation,
-    min_samples_support,
-    min_samples_uniformity,
-)
+from swirlaudit.audits import audit_pair, generate, sample_floor_misses
 from swirlaudit.config import RunConfig, load_config
 from swirlaudit.errors import ConfigError, SwirlAuditError
 from swirlaudit.figures import render_scatter_svg, swirl_profile
@@ -88,9 +83,7 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "degenerate_a", False):
         overrides["degenerate_a"] = True
         overrides["a"] = 0.0
-    if overrides:
-        cfg = cfg.with_overrides(**overrides)
-    return cfg
+    return replace(cfg, **overrides)
 
 
 def _check_sample_size(cfg: RunConfig) -> None:
@@ -99,15 +92,9 @@ def _check_sample_size(cfg: RunConfig) -> None:
     ``figures`` runs no audit, so this belongs to ``run`` and not to
     :class:`RunConfig`.
     """
-    bounds = (
-        ("bins_support", min_samples_support(cfg.bins_support)),
-        ("bins_uniformity", min_samples_uniformity(cfg.bins_uniformity)),
-        ("bins_relation", min_samples_relation(cfg.bins_relation)),
-    )
     problems = [
         f"n: must be >= {required} for {key} = {getattr(cfg, key)}, got {cfg.n}"
-        for key, required in bounds
-        if cfg.n < required
+        for _, key, required in sample_floor_misses(cfg.n, _audit_options(cfg))
     ]
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))

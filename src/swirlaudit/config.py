@@ -7,7 +7,8 @@ errors (fail closed).  Missing keys fall back to the documented defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,20 +26,15 @@ def _parse_matrix(text: str) -> tuple[float, float, float, float]:
     return tuple(float(p) for p in parts)  # type: ignore[return-value]
 
 
-def _parse_int(text: str) -> int:
-    value = int(text, 0)
-    return value
-
-
 _PARSERS = {
-    "n": _parse_int,
-    "seed": _parse_int,
+    "n": partial(int, base=0),
+    "seed": partial(int, base=0),
     "a": float,
     "c": float,
     "A": _parse_matrix,
-    "bins_support": _parse_int,
-    "bins_uniformity": _parse_int,
-    "bins_relation": _parse_int,
+    "bins_support": partial(int, base=0),
+    "bins_uniformity": partial(int, base=0),
+    "bins_relation": partial(int, base=0),
     "functional_threshold": float,
     "alpha": float,
     "l_max": float,
@@ -110,9 +106,6 @@ class RunConfig:
         if self.degenerate_a:
             return MpaParams.degenerate_fixture(self.c)
         return MpaParams(a=self.a, c=self.c)
-
-    def with_overrides(self, **kwargs) -> "RunConfig":
-        return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
         out = {}

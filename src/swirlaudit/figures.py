@@ -88,19 +88,19 @@ def render_scatter_svg(
     path: str | Path,
     axis_range: tuple[float, float] = (-1.05, 1.05),
     title: str = "",
-    size_px: int = 560,
-    point_radius: float = 1.3,
 ) -> None:
     """Write a standalone SVG scatter of a 2-D point cloud.
 
     No plotting library involved: each point becomes one ``<circle>`` inside
-    a framed square viewport mapping ``axis_range`` on both axes.
+    a framed 560-pixel square viewport mapping ``axis_range`` on both axes.
     """
     pts = np.asarray(points, dtype=np.float64)
     lo, hi = axis_range
     if not hi > lo:
         raise ValueError(f"axis range must be increasing, got {axis_range}")
+    size_px = 560
     pad = 20.0
+    point_radius = 1.3
     inner = size_px - 2.0 * pad
     scale = inner / (hi - lo)
     px = pad + (pts[:, 0] - lo) * scale

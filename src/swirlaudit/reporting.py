@@ -22,7 +22,7 @@ from numpy.typing import NDArray
 
 from swirlaudit._atomic import atomic_write
 from swirlaudit.audits import AuditReport, CoordRelationVerdict
-from swirlaudit.errors import EmptyDatasetError, MalformedRowError
+from swirlaudit.errors import EmptyDatasetError, LabelMismatchError, MalformedRowError
 from swirlaudit.transforms import Dataset
 
 __all__ = [
@@ -100,8 +100,10 @@ def read_cloud_csv(path: str | Path) -> tuple[NDArray[np.float64], str]:
 
 
 def load_external_cloud(path: str | Path, label: str) -> Dataset:
-    """Load a user-supplied point cloud as a dataset (seed recorded as 0)."""
-    points, _ = read_cloud_csv(path)
+    """Load a user-supplied latent cloud (header ``z1,z2``) as a dataset (seed 0)."""
+    points, header = read_cloud_csv(path)
+    if header != "z1,z2":
+        raise LabelMismatchError(f"{path}: a latent cloud needs header 'z1,z2', got {header!r}")
     return Dataset(points=points, label=label, seed=0)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import swirlaudit as sa
+from swirlaudit import audits
 from swirlaudit.audits import (
     COORDINATE_WISE,
     NOT_COORDINATE_WISE,
@@ -15,6 +16,7 @@ from swirlaudit.audits import (
     SupportGrid,
     _average_ranks,
     _sort_order,
+    audit_pair,
     bounding_box,
     check_compact_support,
     check_continuity,
@@ -363,6 +365,66 @@ def test_run_audit_rejects_invalid_cutoff():
 def test_run_audit_attaches_check_name_to_errors():
     with pytest.raises(UndersampledError, match=r"\[independent-support\]"):
         run_audit(default_mixing(), default_swirl(), 2400, 42, bins_relation=10)
+
+
+CHECKS = (
+    "check_continuity",
+    "check_sigma_algebra_proxy",
+    "check_compact_support",
+    "check_independent_support",
+    "check_uniformity",
+    "check_coordinatewise_relation",
+)
+
+
+def count_check_calls(monkeypatch):
+    """Replace every ``audits.check_*`` by a wrapper recording its name; return the record."""
+    calls = []
+    for name in CHECKS:
+        def counting(*args, _name=name, _check=getattr(audits, name), **kwargs):
+            calls.append(_name)
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(audits, name, counting)
+    return calls
+
+
+def test_audit_pair_rejects_unpaired_clouds_before_any_check(monkeypatch):
+    calls = count_check_calls(monkeypatch)
+    Z = sa.sample_uniform_square(20_000, 1)
+    with pytest.raises(PairingError):
+        audit_pair(Z, as_zprime(Z.points[:-1]))
+    assert calls == []
+    # the same clouds, paired, do reach every check that runs without maps
+    audit_pair(Z, as_zprime(Z.points))
+    assert set(calls) == set(CHECKS) - {"check_continuity", "check_sigma_algebra_proxy"}
+
+
+def test_audit_pair_names_every_missed_floor_in_one_error(monkeypatch):
+    calls = count_check_calls(monkeypatch)
+    Z = sa.sample_uniform_square(100, 3)
+    with pytest.raises(UndersampledError) as info:
+        audit_pair(Z, as_zprime(Z.points[::-1]))
+    assert str(info.value) == (
+        "[independent-support] needs n >= 2500 for bins_support = 10, got n = 100\n"
+        "  [uniformity] needs n >= 500 for bins_uniformity = 10, got n = 100\n"
+        "  [relation] needs n >= 2500 for bins_relation = 50, got n = 100"
+    )
+    assert info.value.required_n == 2500
+    assert calls == []
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda D: check_independent_support(D, 10),
+     "[independent-support] needs n >= 2500 for bins_support = 10, got n = 100"),
+    (lambda D: check_uniformity(D, 10),
+     "[uniformity] needs n >= 500 for bins_uniformity = 10, got n = 100"),
+    (lambda D: check_coordinatewise_relation(D, as_zprime(D.points), bins=50),
+     "[relation] needs n >= 2500 for bins_relation = 50, got n = 100"),
+])
+def test_standalone_checks_name_their_floor(check, message):
+    with pytest.raises(UndersampledError) as info:
+        check(sa.sample_uniform_square(100, 0))
+    assert str(info.value) == message
 
 
 def test_run_audit_verdicts_stable_in_sample_size():

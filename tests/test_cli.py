@@ -164,6 +164,17 @@ def test_run_undersized_n_exits_3_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_undersized_n_lists_one_line_per_setting(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "n = 100\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "error: invalid configuration:\n"
+        "  n: must be >= 2500 for bins_support = 10, got 100\n"
+        "  n: must be >= 500 for bins_uniformity = 10, got 100\n"
+        "  n: must be >= 2500 for bins_relation = 50, got 100\n"
+    )
+
+
 def test_run_samples_once(tmp_path, monkeypatch):
     calls = []
     original = audits.sample_uniform_square
@@ -285,6 +296,21 @@ def test_audit_external_undersized_clouds_name_the_check(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 5
     assert re.search(r"\[independent-support\].*n >= 2500", capsys.readouterr().err)
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("observed", ["z", "zprime"])
+def test_audit_external_rejects_an_observation_cloud(tmp_path, capsys, observed):
+    # an x1,x2 file in either latent slot is refused, not audited as a latent cloud
+    Z = swirlaudit.sample_uniform_square(3000, seed=4)
+    paths = {name: tmp_path / f"{name}.csv" for name in ("z", "zprime")}
+    for name, path in paths.items():
+        write_cloud_csv(path, Z.points, header="x1,x2" if name == observed else "z1,z2")
+    out = tmp_path / "out"
+    assert main(["audit-external", str(paths["z"]), str(paths["zprime"]),
+                 "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert f"{paths[observed]}: a latent cloud needs header 'z1,z2', got 'x1,x2'" in err
     assert not (out / "report.json").exists()
 
 
