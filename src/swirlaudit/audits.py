@@ -613,7 +613,7 @@ def audit_pair(
     raises one :class:`UndersampledError` that names every floor missed.
     """
     if Z.n != Zp.n:
-        raise PairingError(f"datasets are not paired: {Z.n} vs {Zp.n} points")
+        raise PairingError(f"row-count mismatch: {Z.n} vs {Zp.n}")
     _require_samples(Z.n, bins_support=bins_support, bins_uniformity=bins_uniformity,
                      bins_relation=bins_relation)
     if maps is None:

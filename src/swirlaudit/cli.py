@@ -222,10 +222,6 @@ def _cmd_audit_external(cfg: RunConfig, z_path: str, zp_path: str) -> int:
     _drop_stale_report(cfg)
     Z = load_external_cloud(z_path, LATENT_Z)
     Zp = load_external_cloud(zp_path, LATENT_ZPRIME)
-    if Z.n != Zp.n:
-        print(f"error: row-count mismatch: {Z.n} vs {Zp.n}", file=sys.stderr)
-        return EXIT_DATA
-
     options = _audit_options(cfg)
     report = audit_pair(Z, Zp, l_max=cfg.l_max, **options)
     document = build_report(
