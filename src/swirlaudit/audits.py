@@ -32,6 +32,7 @@ from scipy.special import chdtrc
 
 from swirlaudit.errors import InvalidDomainError, PairingError, UndersampledError
 from swirlaudit.transforms import (
+    SIGMA_PROXY_TOL,
     Dataset,
     Mixing2,
     MpaParams,
@@ -70,10 +71,6 @@ __all__ = [
 
 COORDINATE_WISE = "coordinate-wise"
 NOT_COORDINATE_WISE = "not-coordinate-wise"
-
-# Pass threshold for the bidirectional reconstruction error certifying that
-# the two representations are exact functions of each other.
-SIGMA_PROXY_TOL = 1e-9
 
 # Slack allowed when testing empirical support containment.
 BOX_SLACK = 1e-9
@@ -141,6 +138,31 @@ def bounding_box(points: ArrayLike) -> NDArray[np.float64]:
     return np.array([[pts[:, k].min(), pts[:, k].max()] for k in range(2)])
 
 
+def _grid_counts(points: NDArray[np.float64], bins: int, box) -> NDArray[np.float64]:
+    """Numpy's 2-D histogram counts (floats) of ``points`` over ``box``, ``bins`` cells
+    per axis, without its binary search: cell k, [edges[k], edges[k + 1]), is guessed
+    as ``(v - lo) * bins / (hi - lo) + 1`` and moved where rounding put it on the wrong
+    side of an edge; cells 0 and bins + 1 catch the outliers.  As there, ``hi`` counts in
+    the last bin and a zero-width range grows 0.5 each way.  Cells narrower than a
+    normal float, where the histogram's edges may run backwards, are refused."""
+    flat = np.zeros(len(points), dtype=np.intp)
+    for axis, (lo, hi) in enumerate(box):
+        lo, hi = (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+        if not bins * np.finfo(np.float64).tiny <= hi - lo < np.inf:
+            raise ValueError(f"range [{lo}, {hi}] is not finite, or too narrow for {bins} bins")
+        edges = np.concatenate(([-np.inf], np.linspace(lo, hi, bins + 1)[:-1],
+                                [np.nextafter(hi, np.inf), np.inf]))
+        lower, upper, v = edges[:-1], edges[1:], points[:, axis]
+        k = np.clip((v - lo) * (bins / (hi - lo)) + 1.0, 0.0, bins + 1.0).astype(np.intp)
+        wrong = np.flatnonzero((v < lower[k]) | (v >= upper[k]))
+        while wrong.size:
+            k[wrong] += np.where(v[wrong] < lower[k[wrong]], -1, 1)
+            wrong = wrong[(v[wrong] < lower[k[wrong]]) | (v[wrong] >= upper[k[wrong]])]
+        flat = flat * (bins + 2) + k
+    counts = np.bincount(flat, minlength=(bins + 2) ** 2).reshape(bins + 2, bins + 2)
+    return counts[1:-1, 1:-1].astype(np.float64)
+
+
 @dataclass(frozen=True)
 class SupportGrid:
     """Histogram-based estimate of a joint support and its marginals.
@@ -172,10 +194,7 @@ class SupportGrid:
     ) -> "SupportGrid":
         """Build the grid over the empirical bounding box of the points."""
         pts = np.asarray(points, dtype=np.float64)
-        box = bounding_box(pts)
-        counts, _, _ = np.histogram2d(
-            pts[:, 0], pts[:, 1], bins=bins_per_axis, range=[tuple(box[0]), tuple(box[1])]
-        )
+        counts = _grid_counts(pts, bins_per_axis, bounding_box(pts))
         marg1 = counts.sum(axis=1) >= min_count
         marg2 = counts.sum(axis=0) >= min_count
         return cls(
@@ -423,7 +442,7 @@ def check_uniformity(D: Dataset, bins: int) -> float:
         chi-square validity).
     """
     _require_samples(D.n, bins_uniformity=bins)
-    counts, _, _ = np.histogram2d(D.points[:, 0], D.points[:, 1], bins=bins, range=_SQUARE)
+    counts = _grid_counts(D.points, bins, _SQUARE)
     expected = D.n / (bins * bins)
     statistic = float(((counts - expected) ** 2 / expected).sum())
     return float(chdtrc(bins * bins - 1, statistic))
@@ -448,15 +467,15 @@ def _sort_order(values: NDArray) -> tuple[NDArray[np.intp], bool]:
     return order, distinct
 
 
-def _conditional_variance_ratio(
-    binning: NDArray, dependents: NDArray, bins: int
-) -> tuple[float, ...]:
-    """Per column of ``dependents``: its mean within-bin variance over
-    equal-count bins of ``binning``, normalized by its total variance.
-
-    ``binning`` is sorted once for all the columns.
-    """
-    order, _ = _sort_order(binning)
+def _conditional_variance_ratio(binning: NDArray, dependents: NDArray,
+                                bins: int) -> tuple[tuple[float, ...], NDArray[np.int32]]:
+    """Per column of ``dependents``: its mean within-bin variance over equal-count
+    bins of ``binning``, normalized by its total variance; and the
+    :func:`_doubled_ranks` of ``binning``, which is sorted once for both.  The bins
+    are those of ``np.array_split``; each run of equal-size bins is reshaped to take
+    its variances in one call, with the bits of one ``var`` per bin."""
+    order, distinct = _sort_order(binning)
+    size, extra = divmod(binning.size, bins)
     ratios = []
     for k in range(dependents.shape[1]):
         dependent = dependents[:, k]
@@ -464,20 +483,22 @@ def _conditional_variance_ratio(
         if total_var == 0.0:
             ratios.append(0.0)
             continue
-        within = 0.0
-        for chunk in np.array_split(dependent[order], bins):
-            within += chunk.size * float(chunk.var())
+        ordered, cut, within = dependent[order], extra * (size + 1), 0.0
+        for rows, run in ((size + 1, ordered[:cut]), (size, ordered[cut:])):
+            for var in run.reshape(-1, rows).var(axis=1).tolist():
+                within += rows * var
         ratios.append(within / (binning.size * total_var))
-    return tuple(ratios)
+    return tuple(ratios), _doubled_ranks(binning, order, distinct)
 
 
-def _average_ranks(values: NDArray) -> NDArray[np.float64]:
-    """1-based ranks of ``values``, tied values sharing their mean rank."""
-    order, distinct = _sort_order(values)
-    ranks = np.empty(order.size, dtype=np.float64)
+def _doubled_ranks(values: NDArray, order: NDArray[np.intp], distinct: bool) -> NDArray[np.int32]:
+    """Twice the 1-based ranks of ``values``, tied values sharing their mean
+    rank, given ``(order, distinct) = _sort_order(values)``.  Doubled, a mean
+    rank is a whole number, and int32 holds it for n up to about 1e9."""
+    ranks = np.empty(order.size, dtype=np.int32)
     if distinct:
         # every group has one member, whose mean rank is its position + 1
-        ranks[order] = np.arange(1, order.size + 1, dtype=np.float64)
+        ranks[order] = np.arange(2, 2 * order.size + 1, 2, dtype=np.int32)
         return ranks
     ordered = values[order]
     starts_group = np.empty(ordered.size, dtype=bool)
@@ -485,28 +506,30 @@ def _average_ranks(values: NDArray) -> NDArray[np.float64]:
     np.not_equal(ordered[1:], ordered[:-1], out=starts_group[1:])
     starts = np.flatnonzero(starts_group)
     ends = np.append(starts[1:], ordered.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    ranks[order] = np.repeat(starts + ends + 1, ends - starts)
     return ranks
 
 
-def rank_correlation(x: ArrayLike, y: ArrayLike) -> float:
-    """Spearman's rank correlation: Pearson's correlation of tie-averaged ranks.
+def _average_ranks(values: NDArray) -> NDArray[np.float64]:
+    """1-based ranks of ``values``, tied values sharing their mean rank."""
+    return _doubled_ranks(values, *_sort_order(values)) / 2.0
 
-    NaN when either input is constant.
-    """
-    rx = _average_ranks(np.asarray(x, dtype=np.float64))
-    ry = _average_ranks(np.asarray(y, dtype=np.float64))
+
+def _correlation(x: NDArray, y: NDArray) -> float:
+    """Pearson's correlation, NaN when either input is constant.  Doubling both
+    inputs scales each step exactly: doubled ranks give the bits of plain ones."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        return float(np.corrcoef(rx, ry)[0, 1])
+        return float(np.corrcoef(x, y)[0, 1])
 
 
-def _monotonicity_note(x: NDArray, y: NDArray) -> str:
-    rho = rank_correlation(x, y)
-    if rho >= 0.95:
-        return "increasing"
-    if rho <= -0.95:
-        return "decreasing"
-    return "non-monotone"
+def rank_correlation(x: ArrayLike, y: ArrayLike) -> float:
+    """Spearman's rank correlation: Pearson's correlation of tie-averaged ranks,
+    NaN when either input is constant."""
+    return _correlation(*(_average_ranks(np.asarray(v, dtype=np.float64)) for v in (x, y)))
+
+
+def _monotonicity_note(rho: float) -> str:
+    return "increasing" if rho >= 0.95 else "decreasing" if rho <= -0.95 else "non-monotone"
 
 
 def check_coordinatewise_relation(
@@ -518,10 +541,10 @@ def check_coordinatewise_relation(
     ``j``, the alternate coordinate ``Z'_{perm[j]}`` is cut into ``bins``
     equal-count bins and the within-bin variance of ``Z_j`` (normalized by
     its total variance) is the forward score; the reverse score bins ``Z_j``
-    and measures ``Z'_{perm[j]}``.  A relation through coordinate-wise
-    bijections drives all four scores of the right assignment to the
-    ``1/bins**2`` scale; requiring both directions rules out non-invertible
-    (many-to-one) dependence.  The verdict is ``coordinate-wise`` iff some
+    and measures ``Z'_{perm[j]}``.  Near-linear coordinate-wise bijections drive all
+    four scores of the right assignment to the ``1/bins**2`` scale, steep ones (``z**9``)
+    to a multiple of it that can pass the threshold; requiring both directions rules
+    out many-to-one dependence.  The verdict is ``coordinate-wise`` iff some
     assignment keeps all four scores at or below ``threshold``.
 
     Raises
@@ -534,10 +557,10 @@ def check_coordinatewise_relation(
     if Z.n != Zp.n:
         raise PairingError(f"datasets are not paired: {Z.n} vs {Zp.n} points")
     _require_samples(Z.n, bins_relation=bins)
-    # to_z[k][j] bins Z'_k and scores Z_j; to_zp[j][k] bins Z_j and scores Z'_k.
-    # Each column is sorted once for the scores, one sort order alive at a time.
-    to_z = [_conditional_variance_ratio(Zp.points[:, k], Z.points, bins) for k in range(2)]
-    to_zp = [_conditional_variance_ratio(Z.points[:, j], Zp.points, bins) for j in range(2)]
+    # to_z[k][j] bins Z'_k and scores Z_j; to_zp[j][k] bins Z_j and scores Z'_k.  Each
+    # column is sorted once, for its scores and the notes' ranks, one order alive at a time.
+    to_z, zp_ranks = zip(*(_conditional_variance_ratio(c, Z.points, bins) for c in Zp.points.T))
+    to_zp, z_ranks = zip(*(_conditional_variance_ratio(c, Zp.points, bins) for c in Z.points.T))
     scored = [
         AssignmentScores(
             perm=perm,
@@ -547,16 +570,13 @@ def check_coordinatewise_relation(
         for perm in _PERMUTATIONS
     ]
     best = min(scored, key=lambda a: a.max_score)
-    verdict = COORDINATE_WISE if best.max_score <= threshold else NOT_COORDINATE_WISE
-    notes = tuple(
-        _monotonicity_note(Zp.points[:, best.perm[j]], Z.points[:, j]) for j in range(2)
-    )
     return CoordRelationVerdict(
-        verdict=verdict,
+        verdict=COORDINATE_WISE if best.max_score <= threshold else NOT_COORDINATE_WISE,
         threshold=threshold,
         best_assignment=best.perm,
         best_max_score=best.max_score,
-        monotonicity=notes,
+        monotonicity=tuple(_monotonicity_note(_correlation(zp_ranks[best.perm[j]], z_ranks[j]))
+                           for j in range(2)),
         assignments=tuple(scored),
     )
 

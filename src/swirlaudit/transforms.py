@@ -33,6 +33,7 @@ __all__ = [
     "LATENT_ZPRIME",
     "DATASET_LABELS",
     "DET_EPSILON",
+    "SIGMA_PROXY_TOL",
     "MpaParams",
     "Mixing2",
     "Dataset",
@@ -58,6 +59,16 @@ DET_EPSILON = 1e-9
 
 # A * A^{-1} must reproduce the identity at least this well, entrywise.
 _INVERSE_TOL = 1e-12
+
+# Largest error allowed when one latent representation is rebuilt from the
+# other: the audit's sigma-algebra premise, and the most that the mixing's
+# round trip unmix(mix(z)) may lose on the square.
+SIGMA_PROXY_TOL = 1e-9
+
+# On the square, unmix(mix(z)) stays within this many eps * || |A^-1| |A| ||_inf
+# of z: each product rounds within 2 eps of |A^-1| |A| |z|, and the rounded det
+# inside the adjugate inverse within eps of the same (measured: at most 1.95).
+_ROUND_TRIP_FACTOR = 8
 
 
 def _as_points(z: ArrayLike, *, what: str = "point") -> NDArray[np.float64]:
@@ -120,10 +131,12 @@ class MpaParams:
 class Mixing2:
     """Invertible 2x2 mixing matrix with a cached exact inverse.
 
-    Construction rejects near-singular matrices (``|det| <= 1e-9``) and
-    verifies ``A @ A^{-1} = I`` to 1e-12 entrywise.  The inverse is computed
-    with the closed-form adjugate formula, so ``unmix`` is deterministic and
-    as accurate as the conditioning allows.
+    Construction rejects near-singular matrices (``|det| <= 1e-9``), verifies
+    ``A @ A^{-1} = I`` to 1e-12 entrywise, and rejects matrices whose round
+    trip ``unmix(mix(z))`` may move a point of the square by more than
+    ``SIGMA_PROXY_TOL``, since the audit could not tell that from the swirl.
+    The inverse is computed with the closed-form adjugate formula, so
+    ``unmix`` is deterministic and as accurate as the conditioning allows.
     """
 
     matrix: NDArray[np.float64]
@@ -146,6 +159,13 @@ class Mixing2:
             raise ValueError(
                 "mixing matrix too ill-conditioned: A @ inv(A) deviates from I by more "
                 f"than {_INVERSE_TOL}"
+            )
+        skeel = float((np.abs(inv) @ np.abs(a)).sum(axis=1).max())
+        round_trip = _ROUND_TRIP_FACTOR * np.finfo(np.float64).eps * skeel
+        if round_trip > SIGMA_PROXY_TOL:
+            raise ValueError(
+                "mixing matrix too ill-conditioned for the audit: unmix(mix(z)) may be off by "
+                f"{round_trip:.3e} > {SIGMA_PROXY_TOL} on the square"
             )
         a.flags.writeable = False
         inv.flags.writeable = False
@@ -267,8 +287,8 @@ def mpa_forward(p: MpaParams, z: ArrayLike) -> NDArray[np.float64]:
     Rotation preserves the radius, hence the map preserves the uniform
     distribution on any radially symmetric region and on the square.
 
-    The outside branch returns the input coordinates unchanged (exactly, not
-    just up to round-off).
+    Points outside the cutoff come back unchanged, bit for bit: their zero
+    coordinates are copied, since the rotation by 0 would turn -0.0 into 0.0.
     """
     z = _as_points(z)
     r = np.hypot(z[..., 0], z[..., 1])
@@ -278,6 +298,10 @@ def mpa_forward(p: MpaParams, z: ArrayLike) -> NDArray[np.float64]:
     out = np.empty_like(z)
     out[..., 0] = cos_t * z[..., 0] - sin_t * z[..., 1]
     out[..., 1] = sin_t * z[..., 0] + cos_t * z[..., 1]
+    # Outside, 1*z0 - 0*z1 keeps every coordinate but turns -0.0 into 0.0.
+    zero = np.flatnonzero(z == 0.0)
+    zero = zero[r.flat[zero // 2] > p.c]
+    out.flat[zero] = z.flat[zero]
     return out
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -563,3 +563,108 @@ def test_bounding_box_equals_axis_reduction(n):
         got = bounding_box(p)
         assert got.shape == (2, 2) and got.dtype == np.float64
         assert np.array_equal(got, want)
+
+
+@st.composite
+def grid_cases(draw):
+    """Points, bins and a range for the grid counter: values drawn from the
+    range's own edges, their float neighbours, points beyond it and points
+    inside; a range from a few ulps to thousands wide, or the points' own
+    bounding box; sometimes a constant column.  Cells narrower than a normal
+    float are left to the test that they are refused."""
+    bins = draw(st.integers(2, 60))
+    lo = draw(st.floats(-1e6, 1e6))
+    width = draw(st.one_of(st.floats(1e-3, 1e3),
+                           st.integers(1, 300).map(lambda k: k * np.spacing(abs(lo) or 1.0))))
+    hi = lo + width
+    edges = np.linspace(lo, hi, bins + 1)
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = lo + (rng.random((n, 2)) * 1.4 - 0.2) * (hi - lo)
+    on_edge = rng.random((n, 2)) < draw(st.sampled_from([0.0, 0.3]))
+    pts[on_edge] = rng.choice(edges, on_edge.sum())
+    nudged = rng.random((n, 2)) < 0.05
+    pts[nudged] = np.nextafter(pts[nudged], rng.choice([-np.inf, np.inf], nudged.sum()))
+    if draw(st.booleans()):
+        pts[:, draw(st.integers(0, 1))] = pts[0, 0]
+    if draw(st.booleans()):
+        box = bounding_box(pts)
+    else:
+        box = np.array([[lo, hi], [lo, hi]])
+    widths = box[:, 1] - box[:, 0]
+    assume(np.all((widths == 0) | (widths / bins >= np.finfo(np.float64).tiny)))
+    return pts, bins, box
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=grid_cases())
+def test_grid_counts_equal_numpy_histogram(case):
+    pts, bins, box = case
+    want, _, _ = np.histogram2d(pts[:, 0], pts[:, 1], bins=bins, range=[tuple(b) for b in box])
+    got = audits._grid_counts(pts, bins, box)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bins", [40, 7])
+@pytest.mark.parametrize("decimals", [None, 2])
+def test_relation_identical_to_twelve_sort_reference_at_uneven_bins(bins, decimals):
+    # 20_011 is divisible by neither 40 nor 7, so both runs of equal-size bins
+    # are non-empty; decimals=2 gives heavy ties (the stable-sort rank path)
+    Z, Zp = paired(n=20_011, seed=8)
+    if decimals is not None:
+        Z = Dataset(points=np.round(Z.points, decimals), label=LATENT_Z, seed=8)
+        Zp = as_zprime(np.round(Zp.points, decimals), seed=8)
+    got = check_coordinatewise_relation(Z, Zp, bins=bins)
+    want = reference_relation(Z, Zp, bins=bins)
+    assert got == want
+    assert _score_bits(got) == _score_bits(want)
+
+
+@pytest.mark.parametrize(
+    "zp",
+    [
+        lambda z: z,  # increasing, increasing
+        lambda z: np.column_stack([-z[:, 1], z[:, 0] ** 3]),  # swapped, one decreasing
+        lambda z: np.round(z * np.array([1.0, -1.0]), 1),  # heavy ties
+        lambda z: np.column_stack([z[:, 0], np.zeros(len(z))]),  # a constant column: NaN
+        lambda z: sa.mpa_forward(default_swirl(), z),  # non-monotone
+    ],
+)
+def test_relation_notes_equal_rank_correlation_notes(zp):
+    Z = sa.sample_uniform_square(5000, 31)
+    Zp = as_zprime(zp(Z.points))
+    verdict = check_coordinatewise_relation(Z, Zp, bins=20)
+    perm = verdict.best_assignment
+    assert verdict.monotonicity == tuple(
+        audits._monotonicity_note(rank_correlation(Zp.points[:, perm[j]], Z.points[:, j]))
+        for j in range(2)
+    )
+    # the notes' correlations of doubled int32 ranks carry the bits of Spearman's rho
+    for x, y in ((Zp.points[:, perm[j]], Z.points[:, j]) for j in range(2)):
+        rx, ry = (audits._doubled_ranks(v, *audits._sort_order(v)) for v in (x, y))
+        assert rx.dtype == np.int32
+        assert np.array_equal(rx, 2 * _average_ranks(x))
+        rho = rank_correlation(x, y)
+        assert float(audits._correlation(rx, ry)).hex() == float(rho).hex()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.7e308])
+def test_support_grid_rejects_a_non_finite_range_as_the_histogram_does(bad):
+    # 1.7e308 next to -1.7e308: the bounding box is finite, its width is not
+    pts = np.random.default_rng(0).random((100, 2))
+    pts[3, 1], pts[4, 1] = bad, -1.7e308
+    box = bounding_box(pts)
+    with pytest.raises(ValueError), np.errstate(all="ignore"):
+        np.histogram2d(pts[:, 0], pts[:, 1], bins=10, range=[tuple(b) for b in box])
+    with pytest.raises(ValueError, match="not finite"), np.errstate(all="ignore"):
+        SupportGrid.from_points(pts, bins_per_axis=10, min_count=5)
+
+
+def test_grid_counts_refuse_cells_narrower_than_a_normal_float():
+    # linspace's step is subnormal here, and its edges can run backwards
+    tiny = np.finfo(np.float64).tiny
+    pts = np.array([[0.0, 0.0], [tiny, 1.0]])
+    with pytest.raises(ValueError, match="too narrow for 2 bins"):
+        audits._grid_counts(pts, 2, bounding_box(pts))
+    assert audits._grid_counts(pts, 1, bounding_box(pts)).sum() == 2.0

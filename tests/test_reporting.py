@@ -11,6 +11,7 @@ import swirlaudit as sa
 from swirlaudit.errors import EmptyDatasetError, MalformedRowError, PairingError
 from swirlaudit.figures import swirl_profile
 from swirlaudit.reporting import (
+    _read_rows,
     build_report,
     read_cloud_csv,
     write_cloud_csv,
@@ -196,3 +197,52 @@ def test_report_json_bytes_unchanged_for_finite_reports(tmp_path):
     path = tmp_path / "report.json"
     write_report_json(path, document)
     assert path.read_text(encoding="utf-8") == json.dumps(document, indent=2) + "\n"
+
+
+def _outcome(read, path):
+    """What ``read(path)`` gives: the array's bytes, shape and header, or the
+    error's type and text."""
+    try:
+        points, header = read(path)
+    except Exception as exc:  # the error itself is what is compared
+        return type(exc).__name__, str(exc)
+    return points.tobytes(), points.shape, points.dtype, header
+
+
+# Lines and fragments that one parser could take and the other not.
+JUNK_LINES = ["", "   ", "\t", "1,2,3", "1", "1,", ",1", "1_0,2", '"1","2"', "# 1,2",
+              "nan,inf", "-Infinity,+0", "1e500,-0", "0x1p3,1", "1d3,2", " 1 , 2 ",
+              "1,2\x0b", " 1,2", "١,2", "1,2\x00", "1;2", "1 2"]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    values=st.lists(st.one_of(st.sampled_from(EDGE_VALUES),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    max_size=40),
+    inserts=st.lists(st.tuples(st.integers(0, 40), st.sampled_from(JUNK_LINES)), max_size=3),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    header=st.sampled_from(["z1,z2", "x1,x2", " z1 , z2 ", '"z1","z2"', "u,v"]),
+    trailing_newline=st.booleans(),
+)
+def test_cloud_csv_reader_agrees_with_the_csv_path(
+    tmp_path, values, inserts, newline, header, trailing_newline
+):
+    # a written cloud, then mutated: junk lines inserted, other line endings
+    pts = np.array(values[:len(values) // 2 * 2], dtype=np.float64).reshape(-1, 2)
+    lines = [header] + [f"{x:.17g},{y:.17g}" for x, y in pts.tolist()]
+    for at, line in inserts:
+        lines.insert(1 + at % len(lines), line)
+    path = tmp_path / "cloud.csv"
+    path.write_bytes((newline.join(lines) + (newline if trailing_newline else "")).encode())
+    assert _outcome(read_cloud_csv, path) == _outcome(_read_rows, path)
+
+
+def test_cloud_csv_reader_reads_a_written_cloud_without_the_csv_path(tmp_path, monkeypatch):
+    pts = sa.sample_uniform_square(5000, seed=3).points
+    path = tmp_path / "z.csv"
+    write_cloud_csv(path, pts)
+    monkeypatch.setattr(sa.reporting, "_read_rows", None)  # any fallback would fail
+    back, header = read_cloud_csv(path)
+    assert header == "z1,z2" and back.tobytes() == pts.tobytes()

@@ -19,7 +19,14 @@ from swirlaudit.errors import (
     InvalidPointError,
     LabelMismatchError,
 )
-from swirlaudit.transforms import DET_EPSILON, LATENT_Z, LATENT_ZPRIME, OBSERVED_X, Dataset
+from swirlaudit.transforms import (
+    DET_EPSILON,
+    LATENT_Z,
+    LATENT_ZPRIME,
+    OBSERVED_X,
+    SIGMA_PROXY_TOL,
+    Dataset,
+)
 
 A_DEFAULT = lambda: sa.Mixing2.from_rows(1.0, 0.5, 0.0, 1.0)
 P_DEFAULT = lambda: sa.MpaParams(3.6, 0.9)
@@ -96,6 +103,26 @@ def test_mixing_accepts_only_matrices_it_inverts(rows, seed):
     z = sa.sample_uniform_square(2000, seed).points
     skeel = (np.abs(A.inverse) @ np.abs(A.matrix)).sum(axis=1).max()
     assert np.abs(sa.unmix(A, sa.mix(A, z)) - z).max() <= 8 * np.finfo(float).eps * skeel
+    # and within what the audit's sigma-algebra premise tolerates
+    assert np.abs(sa.unmix(A, sa.mix(A, z)) - z).max() <= SIGMA_PROXY_TOL
+
+
+# Inverted to 1e-12 by A @ inv(A), yet unmix(mix(z)) loses ~1.7e-7 on the
+# square: at n = 20000, seed 7, `run` used to fail its sigma-algebra premise
+# (statistic 3.3e-7 > 1e-9) on the mixing's round-off, not on the swirl.
+ROUND_OFF_ROWS = (-460.0537357728445, -0.0057663714346449435,
+                  -154.40799099889364, -0.0019350569617047374)
+
+
+def test_mixing_rejects_a_round_trip_the_audit_cannot_tell_from_the_swirl(tmp_path, capsys):
+    with pytest.raises(ValueError, match="too ill-conditioned for the audit"):
+        sa.Mixing2.from_rows(*ROUND_OFF_ROWS)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"A = {', '.join(map(repr, ROUND_OFF_ROWS))}\nn = 20000\nseed = 7\n",
+                   encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "A: mixing matrix too ill-conditioned for the audit" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_dataset_validation():
@@ -195,6 +222,17 @@ def test_swirl_outside_cutoff_is_exact_identity():
     pts = sa.sample_uniform_square(100_000, seed=4).points
     outside = pts[np.hypot(pts[:, 0], pts[:, 1]) > p.c]
     np.testing.assert_array_equal(sa.mpa_forward(p, outside), outside)
+
+
+def test_swirl_outside_cutoff_keeps_signed_zeros():
+    # a rotation by angle 0 computes 1*z0 - 0*z1, which would give +0.0 here
+    p = P_DEFAULT()
+    z = np.array([[-0.0, -0.95], [0.95, -0.0], [-0.0, 0.95], [0.0, -0.95]])
+    out = sa.mpa_forward(p, z)
+    assert out.tobytes() == z.tobytes()
+    for point in z:
+        assert sa.mpa_forward(p, point).tobytes() == point.tobytes()
+    assert sa.mpa_inverse(p, z).tobytes() == z.tobytes()
 
 
 def test_swirl_boundary_point_fixed():
