@@ -20,6 +20,10 @@ from swirlaudit.transforms import Dataset
 
 __all__ = ["swirl_profile", "render_scatter_svg"]
 
+# Points formatted per string operation by the SVG writer, so that the block
+# string stays a few MB whatever the cloud size.
+_SVG_BLOCK_ROWS = 16384
+
 _PROFILE_DTYPE = np.dtype(
     [
         ("r_lo", np.float64),
@@ -103,8 +107,6 @@ def render_scatter_svg(
     point_radius = 1.3
     inner = size_px - 2.0 * pad
     scale = inner / (hi - lo)
-    px = pad + (pts[:, 0] - lo) * scale
-    py = size_px - pad - (pts[:, 1] - lo) * scale
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size_px}" height="{size_px}" '
@@ -119,10 +121,13 @@ def render_scatter_svg(
             f'font-family="sans-serif" font-size="12">{title}</text>'
         )
     lines.append('<g fill="#30669c" fill-opacity="0.45" stroke="none">')
-    lines.extend(
-        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{point_radius}"/>' for x, y in zip(px, py)
-    )
-    lines.append("</g>")
-    lines.append("</svg>")
+    circle = f'<circle cx="%.2f" cy="%.2f" r="{point_radius}"/>\n'
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
+        for start in range(0, len(pts), _SVG_BLOCK_ROWS):
+            block = pts[start:start + _SVG_BLOCK_ROWS]
+            xy = np.empty_like(block)
+            xy[:, 0] = pad + (block[:, 0] - lo) * scale
+            xy[:, 1] = size_px - pad - (block[:, 1] - lo) * scale
+            fh.write(circle * len(block) % tuple(xy.ravel().tolist()))
+        fh.write("</g>\n</svg>\n")

@@ -37,14 +37,151 @@ __all__ = [
 
 CLOUD_HEADERS = ("z1,z2", "x1,x2")
 
-# Rows formatted per string operation by the cloud writer: large enough to
-# amortise the per-call overhead, small enough that the block string stays a
-# few MB whatever the cloud size.
-CSV_BLOCK_ROWS = 65536
+# Rows formatted per block by the cloud writer: large enough to amortise the
+# per-call overhead, small enough that the block's arrays (a few dozen bytes
+# per value each) stay a few MB whatever the cloud size.
+CSV_BLOCK_ROWS = 8192
 
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
+
+
+# The cloud writer's "%.17g", a block of values at a time.
+#
+# For 1e-4 <= |v| < 2**53, "%.17g" writes v in fixed notation.  Its digits are
+# D = round(v * 10**(16 - X)), rounded half to even, where X is the decimal
+# exponent for which 10**16 <= D < 10**17.  The point goes after digit X + 1,
+# or after "0." and -X - 1 zeros when X < 0.  Then trailing fractional zeros
+# are dropped, and the point too when no fraction is left.  With
+# v = m * 2**e (m < 2**53) and p = 16 - X, D = round(m * 5**p * 2**(e + p)),
+# computed exactly in two uint64 limbs.  Every other value goes through
+# "%.17g" itself: zeros, |v| < 1e-4 (exponent form), subnormals, |v| >= 2**53,
+# NaN and infinities.
+#
+# A value's text is built in a 40-byte row: the sign, the "0." and zeros
+# that lead X < 0, then the 17 digits at the even bytes 6, 8, ..., 38, each
+# followed by a byte that may hold the point; byte 39 holds the separator.
+# Zero bytes are padding, deleted when the block is joined into one string.
+_ROW_BYTES = 40
+_U64 = np.uint64  # every operand of the limb arithmetic: with int64 it would become float64
+_ONE, _THREE, _U32, _U52, _U64_BITS = _U64(1), _U64(3), _U64(32), _U64(52), _U64(64)
+_LOW32 = _U64(0xFFFFFFFF)
+_MANTISSA, _HIDDEN_BIT = _U64((1 << 52) - 1), _U64(1 << 52)
+_E8, _E16, _E17 = _U64(10 ** 8), _U64(10 ** 16), _U64(10 ** 17)
+# 5**p in 32-bit halves, for every p that an exponent guess can give (0..21)
+_POW5_HI = np.array([5 ** p >> 32 for p in range(22)], dtype=np.uint64)
+_POW5_LO = np.array([5 ** p & 0xFFFFFFFF for p in range(22)], dtype=np.uint64)
+# 10**(16 - X): D has a fraction iff D % this is not 0 (rows with X < 0 ignore it)
+_FRACTION_UNIT = np.array([10 ** (16 - max(x, 0)) for x in range(-4, 16)], dtype=np.uint64)
+
+
+def _digit_tables() -> tuple[NDArray[np.uint64], NDArray[np.uint64]]:
+    """Digits as 8-byte words, each digit at an even byte of its word.
+
+    Entry k < 10000 of the first table holds the four digits of k (leading
+    zeros kept); entry 10000 + k holds them with the trailing zeros blanked.
+    Entry k of the second table holds the single digit k at byte 6, where a
+    row's leading digit goes.
+    """
+    place = np.array([1000, 100, 10, 1], dtype=np.uint16)  # small dtypes keep import RSS flat
+    four = (np.arange(10000, dtype=np.uint16)[:, None] // place % np.uint16(10)).astype(np.uint8)
+    four += ord("0")
+    trailing = np.logical_and.accumulate(four[:, ::-1] == ord("0"), axis=1)[:, ::-1]
+    groups = np.zeros((2, 10000, 8), dtype=np.uint8)
+    groups[:, :, ::2] = four
+    groups[1, :, ::2][trailing] = 0
+    lead = np.zeros((10, 8), dtype=np.uint8)
+    lead[:, 6] = ord("0") + np.arange(10)
+    return groups.view(np.uint64).ravel(), lead.view(np.uint64).ravel()
+
+
+def _row_templates() -> NDArray[np.uint64]:
+    """Everything of a row but its digits, for each (X + 4, point, negative, column).
+
+    Integer digit positions hold "0", so that a digit blanked as a trailing
+    zero still prints there; the digit bytes are OR-ed over it.
+    """
+    rows = np.zeros((20, 2, 2, 2, _ROW_BYTES), dtype=np.uint8)
+    rows[:, :, 1, :, 0] = ord("-")
+    rows[..., 0, -1] = ord(",")
+    rows[..., 1, -1] = ord("\n")
+    for x in range(-4, 0):
+        lead = np.frombuffer(b"0." + b"0" * (-x - 1), dtype=np.uint8)
+        rows[x + 4, ..., 1:1 + len(lead)] = lead
+    for x in range(16):
+        rows[x + 4, ..., 6:7 + 2 * x:2] = ord("0")
+        rows[x + 4, 1, ..., 7 + 2 * x] = ord(".")
+    return rows.reshape(-1, _ROW_BYTES).view(np.uint64)
+
+
+_DIGIT_GROUPS, _LEAD_DIGIT = _digit_tables()
+_ROW_TEMPLATES = _row_templates()
+
+
+def _significand(m8, e, x):
+    """``round(m8 / 8 * 2**e * 10**(16 - x))``, half to even, exactly.
+
+    ``m8 = 8 m < 2**56`` and ``5**(16 - x) < 2**49``, so the product of their
+    32-bit halves fits two uint64 limbs, and the shift is 3 - e - p >= 1.
+    """
+    p = 16 - x
+    f_hi, f_lo = _POW5_HI[p], _POW5_LO[p]
+    m_hi, m_lo = m8 >> _U32, m8 & _LOW32
+    mid = m_hi * f_lo + m_lo * f_hi
+    low = m_lo * f_lo
+    lo = low + (mid << _U32)
+    hi = m_hi * f_hi + (mid >> _U32) + (lo < low)  # lo < low: the carry
+    shift = (x - e - 13).astype(np.uint64)
+    q = (lo >> shift) | (hi << (_U64_BITS - shift))
+    shift -= _ONE
+    half = (lo >> shift) & _ONE
+    below_half = (lo & ((_ONE << shift) - _ONE)) != 0
+    return q + (half & (below_half | (q & _ONE)))
+
+
+def _format_rows(values: NDArray[np.float64]) -> str:
+    """``"%.17g"`` of each value, followed by "," at even and a newline at odd
+    positions, as one string."""
+    mag = np.abs(values)
+    fast = (mag >= 1e-4) & (mag < 2.0 ** 53)
+    mag[~fast] = 1.0  # their rows are overwritten below
+    bits = mag.view(np.uint64)
+    biased = (bits >> _U52).astype(np.int64)
+    m8 = ((bits & _MANTISSA) | _HIDDEN_BIT) << _THREE
+    e = biased - 1075
+    # guess X from log10, held to the two values that the binary exponent
+    # allows, floor((biased - 1023) * log10(2)) and one more; then correct it
+    floor_x = ((biased - 1023) * 78913) >> 18
+    x = np.clip(np.floor(np.log10(mag)).astype(np.int64), floor_x, floor_x + 1)
+    d = _significand(m8, e, x)
+    wrong = np.flatnonzero((d < _E16) | (d >= _E17))
+    while wrong.size:  # a guess off by one, or D rounded up to 10**17
+        x[wrong] += np.where(d[wrong] < _E16, -1, 1)
+        d[wrong] = _significand(m8[wrong], e[wrong], x[wrong])
+        wrong = wrong[(d[wrong] < _E16) | (d[wrong] >= _E17)]
+
+    top, bottom = np.divmod(d, _E8)
+    lead, top = np.divmod(top.astype(np.uint32), np.uint32(10 ** 8))
+    g1, g2 = np.divmod(top, np.uint32(10 ** 4))
+    g3, g4 = np.divmod(bottom.astype(np.uint32), np.uint32(10 ** 4))
+    rows = np.empty((len(values), _ROW_BYTES // 8), dtype=np.uint64)
+    rows[:, 0] = _LEAD_DIGIT[lead]
+    last = np.ones(len(values), dtype=bool)  # no later group has a digit other than 0
+    for col, group in ((4, g4), (3, g3), (2, g2), (1, g1)):
+        rows[:, col] = _DIGIT_GROUPS[group + 10000 * last]
+        last &= group == 0
+    point = d % _FRACTION_UNIT[x + 4] != 0
+    template = (x + 4) * 8 + point * 4 + (values < 0) * 2
+    template[1::2] += 1
+    rows |= np.take(_ROW_TEMPLATES, template, axis=0)
+
+    text = rows.view(np.uint8)
+    for i in np.flatnonzero(~fast):
+        row = ("%.17g" % values[i] + ",\n"[i % 2]).encode()
+        text[i] = 0
+        text[i, :len(row)] = np.frombuffer(row, dtype=np.uint8)
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_cloud_csv(path: str | Path, points: NDArray[np.float64], header: str = "z1,z2") -> None:
@@ -57,9 +194,7 @@ def write_cloud_csv(path: str | Path, points: NDArray[np.float64], header: str =
     with atomic_write(path) as fh:
         fh.write(header + "\n")
         for start in range(0, len(pts), CSV_BLOCK_ROWS):
-            block = pts[start:start + CSV_BLOCK_ROWS]
-            # "%.17g" formats exactly as _fmt does, one row per template copy.
-            fh.write(("%.17g,%.17g\n" * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(_format_rows(pts[start:start + CSV_BLOCK_ROWS].ravel()))
 
 
 def _read_header(path: str | Path, reader) -> str:

@@ -1,6 +1,8 @@
 """Tests for CSV point-cloud persistence, profile tables, and JSON reports."""
 
 import json
+import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -30,7 +32,11 @@ def test_cloud_csv_roundtrip_exact(tmp_path):
     assert np.array_equal(back, pts)  # 17 significant digits round-trip float64
 
 
-EDGE_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e16, -1e16]
+EDGE_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e16, -1e16,
+               # exact 17-digit ties, which round half to even
+               1025 * 2.0 ** -21, (2 ** 52 + 1) / 4, -(2 ** 52 + 1) / 4,
+               # 10**k -/+ 1 ulp
+               0.09999999999999999, 0.10000000000000002, 999999999999999.9, 1000000000000000.1]
 
 
 def reference_cloud_csv(points, header):
@@ -59,6 +65,68 @@ def test_cloud_csv_bytes_match_per_row_reference(tmp_path, n, values):
     back, header = read_cloud_csv(path)
     assert header == "x1,x2"
     assert back.tobytes() == pts.tobytes()  # bit-equal, signed zeros included
+
+
+def is_17_digit_tie(value):
+    """Whether ``value`` lies exactly halfway between two 17-digit decimals."""
+    digits = Decimal(value).as_tuple().digits
+    return len(digits) == 18 and digits[-1] == 5
+
+
+def hard_values(rng):
+    """Values on which a 17-digit formatter can go wrong, shuffled together."""
+    raw = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64)
+    # random doubles of either sign between 2**-14 and 2**53
+    exponents = rng.integers(1023 - 14, 1023 + 53, 150_000).astype(np.uint64)
+    fixed = ((exponents << np.uint64(52)) | rng.integers(0, 2 ** 52, 150_000, dtype=np.uint64)
+             | (rng.integers(0, 2, 150_000, dtype=np.uint64) << np.uint64(63))).view(np.float64)
+    # odd m * 2**-k; where k = 17 - X for the decimal exponent X they are ties
+    ties = []
+    for k in range(1, 64):
+        low = max(1, int(10.0 ** (17 - k) * 2.0 ** k))
+        high = int(min(10.0 ** (18 - k) * 2.0 ** k, 2.0 ** 53))
+        if not low < high:
+            low, high = 1, 2 ** 53
+        ties.append(np.ldexp(rng.integers(low, high, 2000) | 1, -k))
+    powers = np.array([10.0 ** k for k in range(-20, 20)])
+    near = [powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]
+    integers = [np.arange(2000.0),
+                rng.integers(1, 10 ** 5, 20_000) * 10.0 ** rng.integers(0, 11, 20_000)]
+    below_one = 1 - 2.0 ** -np.arange(1, 54)
+    bounds = np.array([1e-4, 2.0 ** 53, 5e-324, 2.2250738585072014e-308])
+    near += [below_one, bounds, np.nextafter(bounds, 0), np.nextafter(bounds, np.inf)]
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.7976931348623157e308])
+    values = np.concatenate([raw, fixed, *ties, *near, *integers, special])
+    values = np.concatenate([values, -values[-60_000:]])  # the signs of the hand-picked values
+    return rng.permutation(values), np.concatenate(ties)
+
+
+def test_cloud_csv_bytes_match_per_row_reference_on_hard_values(tmp_path):
+    values, ties = hard_values(np.random.default_rng(11))
+    assert len(values) >= 500_000
+    assert sum(map(is_17_digit_tie, ties.tolist())) >= 30_000
+    # fixed-notation and "%.17g"-only values share every block, the first included
+    first_block = np.abs(values[:2 * sa.reporting.CSV_BLOCK_ROWS])
+    assert ((first_block >= 1e-4) & (first_block < 2.0 ** 53)).any()
+    assert ((first_block < 1e-4) | ~np.isfinite(first_block)).any()
+    pts = values[:len(values) // 2 * 2].reshape(-1, 2)
+    path = tmp_path / "hard.csv"
+    write_cloud_csv(path, pts)
+    assert path.read_bytes() == reference_cloud_csv(pts, "z1,z2")
+
+
+def test_cloud_csv_writer_memory_does_not_grow_with_the_cloud(tmp_path):
+    # writing a cloud takes a few MB beyond the cloud itself, whatever its size
+    peaks = []
+    for n in (200_000, 800_000):
+        pts = sa.sample_uniform_square(n, seed=2).points
+        tracemalloc.start()
+        try:
+            write_cloud_csv(tmp_path / "z.csv", pts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2 ** 20, peaks
 
 
 def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path):
