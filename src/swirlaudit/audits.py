@@ -23,6 +23,7 @@ falsification audits, consistent-with rather than established-by samples.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,6 +33,7 @@ from scipy.special import chdtrc
 
 from swirlaudit.errors import InvalidDomainError, PairingError, UndersampledError
 from swirlaudit.transforms import (
+    BLOCK_ROWS,
     SIGMA_PROXY_TOL,
     Dataset,
     Mixing2,
@@ -138,27 +140,39 @@ def bounding_box(points: ArrayLike) -> NDArray[np.float64]:
     return np.array([[pts[:, k].min(), pts[:, k].max()] for k in range(2)])
 
 
+def _digitize(values: NDArray[np.float64], edges: NDArray[np.float64],
+              scale: float) -> NDArray[np.intp]:
+    """``np.digitize(values, edges)`` for finite values and increasing ``edges``, without
+    its binary search: k, with ``edges[k - 1] <= v < edges[k]`` (0 below ``edges[0]``,
+    ``len(edges)`` from ``edges[-1]`` on), is guessed as ``(v - edges[0]) * scale + 1``
+    and moved where rounding put it on the wrong side of an edge.  With ``scale`` the
+    number of bins per unit of ``v``, only rounding moves the guess; any other scale
+    costs more moves, not another result."""
+    bounds = np.concatenate(([-np.inf], edges, [np.inf]))
+    lower, upper = bounds[:-1], bounds[1:]
+    k = np.clip((values - edges[0]) * scale + 1.0, 0.0, len(edges)).astype(np.intp)
+    wrong = np.flatnonzero((values < lower[k]) | (values >= upper[k]))
+    while wrong.size:
+        k[wrong] += np.where(values[wrong] < lower[k[wrong]], -1, 1)
+        wrong = wrong[(values[wrong] < lower[k[wrong]]) | (values[wrong] >= upper[k[wrong]])]
+    return k
+
+
 def _grid_counts(points: NDArray[np.float64], bins: int, box) -> NDArray[np.float64]:
     """Numpy's 2-D histogram counts (floats) of ``points`` over ``box``, ``bins`` cells
-    per axis, without its binary search: cell k, [edges[k], edges[k + 1]), is guessed
-    as ``(v - lo) * bins / (hi - lo) + 1`` and moved where rounding put it on the wrong
-    side of an edge; cells 0 and bins + 1 catch the outliers.  As there, ``hi`` counts in
-    the last bin and a zero-width range grows 0.5 each way.  Cells narrower than a
-    normal float, where the histogram's edges may run backwards, are refused."""
+    per axis, with :func:`_digitize` in place of its binary search; cells 0 and
+    bins + 1 catch the outliers.  As there, ``hi`` counts in the last bin and a
+    zero-width range grows 0.5 each way.  Cells narrower than a normal float, where
+    the histogram's edges may run backwards, are refused."""
     flat = np.zeros(len(points), dtype=np.intp)
     for axis, (lo, hi) in enumerate(box):
         lo, hi = (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
         if not bins * np.finfo(np.float64).tiny <= hi - lo < np.inf:
             raise ValueError(f"range [{lo}, {hi}] is not finite, or too narrow for {bins} bins")
-        edges = np.concatenate(([-np.inf], np.linspace(lo, hi, bins + 1)[:-1],
-                                [np.nextafter(hi, np.inf), np.inf]))
-        lower, upper, v = edges[:-1], edges[1:], points[:, axis]
-        k = np.clip((v - lo) * (bins / (hi - lo)) + 1.0, 0.0, bins + 1.0).astype(np.intp)
-        wrong = np.flatnonzero((v < lower[k]) | (v >= upper[k]))
-        while wrong.size:
-            k[wrong] += np.where(v[wrong] < lower[k[wrong]], -1, 1)
-            wrong = wrong[(v[wrong] < lower[k[wrong]]) | (v[wrong] >= upper[k[wrong]])]
-        flat = flat * (bins + 2) + k
+        edges = np.linspace(lo, hi, bins + 1)
+        edges[-1] = np.nextafter(hi, np.inf)
+        flat *= bins + 2
+        flat += _digitize(points[:, axis], edges, bins / (hi - lo))
     counts = np.bincount(flat, minlength=(bins + 2) ** 2).reshape(bins + 2, bins + 2)
     return counts[1:-1, 1:-1].astype(np.float64)
 
@@ -366,16 +380,30 @@ def check_sigma_algebra_proxy(
     Mutual exact reconstruction through continuous maps is the sample-level
     surrogate for the two representations generating the same sigma-algebra.
 
+    ``fwd`` and ``inv`` must be row-wise maps, each output row depending on its
+    input row alone: they are applied to :data:`~swirlaudit.transforms.BLOCK_ROWS`
+    rows at a time, so that no error array the size of the clouds is made.
+
     Returns
     -------
     (passed, max_error)
     """
     if Z.n != Zp.n:
         raise PairingError(f"datasets are not paired: {Z.n} vs {Zp.n} points")
-    fwd_err = np.hypot(*(np.asarray(fwd(Z.points), dtype=np.float64) - Zp.points).T)
-    inv_err = np.hypot(*(np.asarray(inv(Zp.points), dtype=np.float64) - Z.points).T)
-    max_err = float(max(fwd_err.max(), inv_err.max()))
+    max_err = float(max(_max_distance(fwd, Z.points, Zp.points),
+                        _max_distance(inv, Zp.points, Z.points)))
     return max_err < SIGMA_PROXY_TOL, max_err
+
+
+def _max_distance(f: Callable[[NDArray[np.float64]], ArrayLike], points: NDArray[np.float64],
+                  targets: NDArray[np.float64]) -> np.float64:
+    """Largest Euclidean distance from ``f(points[i])`` to ``targets[i]`` (NaN if any
+    is), with ``f`` applied one block of rows at a time."""
+    return np.max([
+        np.hypot(*(np.asarray(f(points[start:start + BLOCK_ROWS]), dtype=np.float64)
+                   - targets[start:start + BLOCK_ROWS]).T).max()
+        for start in range(0, len(points), BLOCK_ROWS)
+    ])
 
 
 def check_compact_support(
@@ -631,54 +659,63 @@ def audit_pair(
     The input is checked before the first check runs: unpaired clouds raise
     :class:`PairingError`, and an ``n`` below any floor of :data:`SAMPLE_FLOORS`
     raises one :class:`UndersampledError` that names every floor missed.
+
+    The relation check runs on a worker thread while this thread runs the
+    continuity, sigma-algebra and compact-support checks; every check is a pure
+    function of the read-only clouds, and numpy releases the interpreter lock in
+    their sorts, gathers and loops.  The worker is joined before the support grid
+    and uniformity checks, whose histogram temporaries so stay out of the overlap,
+    and always before this function returns or raises, so a process that forks
+    around the audit (the CLI's cloud writers) never forks with a live thread.
     """
     if Z.n != Zp.n:
         raise PairingError(f"row-count mismatch: {Z.n} vs {Zp.n}")
     _require_samples(Z.n, bins_support=bins_support, bins_uniformity=bins_uniformity,
                      bins_relation=bins_relation)
-    if maps is None:
-        note = {"note": "not-applicable: no analytic maps supplied"}
-        map_premises = (
-            Premise("continuity", None, None, l_max, note),
-            Premise("sigma-algebra", None, None, SIGMA_PROXY_TOL, note),
-        )
-        parameters = {"n": Z.n, "seed": None}
-    else:
-        A, p, X = maps
-        x_box = bounding_box(X.points)
-        f_pass, f_ratio = check_continuity(
-            lambda x: unmix(A, x), x_box, seed=[Z.seed, 1], l_max=l_max
-        )
-        fp_pass, fp_ratio = check_continuity(
-            lambda x: mpa_forward(p, unmix(A, x)), x_box, seed=[Z.seed, 2], l_max=l_max
-        )
-        sigma_pass, sigma_err = check_sigma_algebra_proxy(
-            Z, Zp, lambda z: mpa_forward(p, z), lambda zp: mpa_inverse(p, zp)
-        )
-        map_premises = (
-            Premise("continuity", f_pass and fp_pass, max(f_ratio, fp_ratio), l_max),
-            Premise("sigma-algebra", sigma_pass, sigma_err, SIGMA_PROXY_TOL),
-        )
-        parameters = {
-            "a": p.a,
-            "c": p.c,
-            "degenerate_a": p.degenerate,
-            "A": A.matrix.tolist(),
-            "n": Z.n,
-            "seed": Z.seed,
-        }
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        relation = worker.submit(check_coordinatewise_relation, Z, Zp, bins=bins_relation,
+                                 threshold=functional_threshold)
+        if maps is None:
+            note = {"note": "not-applicable: no analytic maps supplied"}
+            map_premises = (
+                Premise("continuity", None, None, l_max, note),
+                Premise("sigma-algebra", None, None, SIGMA_PROXY_TOL, note),
+            )
+            parameters = {"n": Z.n, "seed": None}
+        else:
+            A, p, X = maps
+            x_box = bounding_box(X.points)
+            f_pass, f_ratio = check_continuity(
+                lambda x: unmix(A, x), x_box, seed=[Z.seed, 1], l_max=l_max
+            )
+            fp_pass, fp_ratio = check_continuity(
+                lambda x: mpa_forward(p, unmix(A, x)), x_box, seed=[Z.seed, 2], l_max=l_max
+            )
+            sigma_pass, sigma_err = check_sigma_algebra_proxy(
+                Z, Zp, lambda z: mpa_forward(p, z), lambda zp: mpa_inverse(p, zp)
+            )
+            map_premises = (
+                Premise("continuity", f_pass and fp_pass, max(f_ratio, fp_ratio), l_max),
+                Premise("sigma-algebra", sigma_pass, sigma_err, SIGMA_PROXY_TOL),
+            )
+            parameters = {
+                "a": p.a,
+                "c": p.c,
+                "degenerate_a": p.degenerate,
+                "A": A.matrix.tolist(),
+                "n": Z.n,
+                "seed": Z.seed,
+            }
 
-    z_ok, z_box = check_compact_support(Z, _SQUARE)
-    zp_ok, zp_box = check_compact_support(Zp, _SQUARE)
+        z_ok, z_box = check_compact_support(Z, _SQUARE)
+        zp_ok, zp_box = check_compact_support(Zp, _SQUARE)
+    conclusion = relation.result()
     union_box = np.column_stack(
         [np.minimum(z_box[:, 0], zp_box[:, 0]), np.maximum(z_box[:, 1], zp_box[:, 1])]
     )
     is_z, frac_z = check_independent_support(Z, bins_support)
     is_zp, frac_zp = check_independent_support(Zp, bins_support)
     pvalue = check_uniformity(Zp, bins_uniformity)
-    conclusion = check_coordinatewise_relation(
-        Z, Zp, bins=bins_relation, threshold=functional_threshold
-    )
 
     return AuditReport(
         premises=(

@@ -15,6 +15,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from swirlaudit._atomic import atomic_write
+from swirlaudit.audits import _digitize, _sort_order
 from swirlaudit.errors import PairingError
 from swirlaudit.transforms import Dataset
 
@@ -48,6 +49,30 @@ def angular_displacement(z: ArrayLike, zp: ArrayLike) -> NDArray[np.float64]:
     return np.arctan2(cross, dot)
 
 
+def _unwrap(p: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``np.unwrap(p)`` of a 1-D float64 array, bit for bit, with its phase correction
+    worked out at the jumps alone.
+
+    The correction is a running sum of per-step terms that are +0.0 except at steps
+    of at least pi (or NaN), and no partial sum is -0.0, so the sum changes only at
+    those jumps: it is summed over them and spread over the runs between them.
+    Adding it, +0.0 included, rounds as ``np.unwrap`` does.
+    """
+    rise = np.diff(p)
+    np.abs(rise, out=rise)
+    jumps = np.flatnonzero(~(rise < np.pi))
+    runs = np.diff(jumps, prepend=0, append=rise.size)
+    del rise
+    step = p[jumps + 1] - p[jumps]
+    stepmod = np.mod(step + np.pi, 2 * np.pi) - np.pi
+    np.copyto(stepmod, np.pi, where=(stepmod == -np.pi) & (step > 0))
+    correction = np.repeat(np.concatenate(([0.0], np.cumsum(stepmod - step))), runs)
+    out = np.empty_like(p)
+    out[:1] = p[:1]
+    np.add(p[1:], correction, out=out[1:])
+    return out
+
+
 def swirl_profile(Z: Dataset, Zp: Dataset, bin_width: float = 0.01) -> NDArray:
     """Mean angular displacement between paired clouds, binned by radius.
 
@@ -65,14 +90,15 @@ def swirl_profile(Z: Dataset, Zp: Dataset, bin_width: float = 0.01) -> NDArray:
     if not bin_width > 0.0:
         raise ValueError(f"bin width must be positive, got {bin_width}")
     radii = Z.radii()
-    wrapped = angular_displacement(Z.points, Zp.points)
-    order = np.argsort(radii, kind="stable")[::-1]
-    unwrapped = np.empty_like(wrapped)
-    unwrapped[order] = np.unwrap(wrapped[order])
+    order = _sort_order(radii)[0][::-1]
+    unwrapped = np.empty(Z.n)
+    unwrapped[order] = _unwrap(angular_displacement(Z.points, Zp.points)[order])
 
     n_bins = math.ceil(math.sqrt(2.0) / bin_width)
     edges = np.linspace(0.0, n_bins * bin_width, n_bins + 1)
-    idx = np.clip(np.digitize(radii, edges) - 1, 0, n_bins - 1)
+    idx = _digitize(radii, edges, n_bins / edges[-1])
+    idx -= 1
+    np.clip(idx, 0, n_bins - 1, out=idx)
     counts = np.bincount(idx, minlength=n_bins)
     with np.errstate(invalid="ignore"):
         angle_mean = np.bincount(idx, weights=unwrapped, minlength=n_bins) / counts

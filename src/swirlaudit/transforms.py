@@ -70,6 +70,10 @@ SIGMA_PROXY_TOL = 1e-9
 # inside the adjugate inverse within eps of the same (measured: at most 1.95).
 _ROUND_TRIP_FACTOR = 8
 
+# Rows per block of the swirl and of the audit checks that apply it: small
+# enough that a block's temporaries stay in cache.
+BLOCK_ROWS = 16384
+
 
 def _as_points(z: ArrayLike, *, what: str = "point") -> NDArray[np.float64]:
     """Coerce to a float64 array with trailing axis of length 2."""
@@ -287,21 +291,22 @@ def mpa_forward(p: MpaParams, z: ArrayLike) -> NDArray[np.float64]:
     Rotation preserves the radius, hence the map preserves the uniform
     distribution on any radially symmetric region and on the square.
 
-    Points outside the cutoff come back unchanged, bit for bit: their zero
-    coordinates are copied, since the rotation by 0 would turn -0.0 into 0.0.
+    The map works on a copy of the points, :data:`BLOCK_ROWS` rows at a time,
+    and rotates only the rows inside the cutoff, so its temporaries stay a few
+    hundred kB whatever the size of ``z``.  Points outside the cutoff are the
+    copied ones: they come back unchanged bit for bit, signed zeros included.
     """
-    z = _as_points(z)
-    r = np.hypot(z[..., 0], z[..., 1])
-    theta = p.rotation_angle(r)
-    cos_t = np.cos(theta)
-    sin_t = np.sin(theta)
-    out = np.empty_like(z)
-    out[..., 0] = cos_t * z[..., 0] - sin_t * z[..., 1]
-    out[..., 1] = sin_t * z[..., 0] + cos_t * z[..., 1]
-    # Outside, 1*z0 - 0*z1 keeps every coordinate but turns -0.0 into 0.0.
-    zero = np.flatnonzero(z == 0.0)
-    zero = zero[r.flat[zero // 2] > p.c]
-    out.flat[zero] = z.flat[zero]
+    out = _as_points(z).copy()
+    rows = out.reshape(-1, 2)
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = rows[start:start + BLOCK_ROWS]
+        r = np.hypot(block[:, 0], block[:, 1])
+        inside = np.flatnonzero(r <= p.c)
+        theta = p.rotation_angle(r[inside])
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        x, y = block[inside, 0], block[inside, 1]
+        block[inside, 0] = cos_t * x - sin_t * y
+        block[inside, 1] = sin_t * x + cos_t * y
     return out
 
 

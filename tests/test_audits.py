@@ -1,5 +1,8 @@
 """Tests for the premise checks and the coordinate-wise-relation verdict."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -413,6 +416,42 @@ def test_audit_pair_names_every_missed_floor_in_one_error(monkeypatch):
     assert calls == []
 
 
+class CheckFailed(RuntimeError):
+    pass
+
+
+def test_relation_error_on_the_worker_reaches_the_caller(monkeypatch):
+    def failing_relation(*args, **kwargs):
+        raise CheckFailed("relation")
+    monkeypatch.setattr(audits, "check_coordinatewise_relation", failing_relation)
+    threads = threading.active_count()
+    with pytest.raises(CheckFailed, match="relation"):
+        run_audit(default_mixing(), default_swirl(), 10_000, 1)
+    assert threading.active_count() == threads
+
+
+def test_error_on_the_calling_thread_still_joins_the_worker(monkeypatch):
+    finished = []
+    relation = audits.check_coordinatewise_relation
+
+    def slow_relation(*args, **kwargs):
+        time.sleep(0.2)
+        result = relation(*args, **kwargs)
+        finished.append(threading.current_thread() is not threading.main_thread())
+        return result
+
+    def failing_sigma(*args, **kwargs):
+        raise CheckFailed("sigma-algebra")
+    monkeypatch.setattr(audits, "check_coordinatewise_relation", slow_relation)
+    monkeypatch.setattr(audits, "check_sigma_algebra_proxy", failing_sigma)
+    threads = threading.active_count()
+    with pytest.raises(CheckFailed, match="sigma-algebra"):
+        run_audit(default_mixing(), default_swirl(), 10_000, 1)
+    # the relation ran on the worker, and had ended when the error reached the caller
+    assert finished == [True]
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("check, message", [
     (lambda D: check_independent_support(D, 10),
      "[independent-support] needs n >= 2500 for bins_support = 10, got n = 100"),
@@ -604,6 +643,17 @@ def test_grid_counts_equal_numpy_histogram(case):
     got = audits._grid_counts(pts, bins, box)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("guess", [0.0, 0.3, 1.0, 4.0])
+def test_digitize_equals_numpy_digitize_whatever_the_guess(guess):
+    # guess scales the right bins-per-unit (5): a poor guess only costs corrections
+    edges = np.linspace(-1.0, 1.0, 11)
+    values = np.concatenate([np.random.default_rng(3).uniform(-1.5, 1.5, 2000), edges,
+                             np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    got = audits._digitize(values, edges, guess * 5.0)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.digitize(values, edges))
 
 
 @pytest.mark.parametrize("bins", [40, 7])

@@ -194,11 +194,13 @@ def test_run_samples_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("module", ["scipy.stats", "multiprocessing"])
 def test_cli_import_does_not_load_scipy_stats(module):
-    probe = f"import sys, swirlaudit.cli; print({module!r} in sys.modules)"
+    # nor does it start a thread: the audit's worker lives only inside audit_pair
+    probe = (f"import sys, threading, swirlaudit.cli; "
+             f"print({module!r} in sys.modules, threading.active_count())")
     env = {**os.environ, "PYTHONPATH": str(Path(swirlaudit.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == ["False", "1"]
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for CSV point-cloud persistence, profile tables, and JSON reports."""
 
 import json
+import math
 import tracemalloc
 from decimal import Decimal
 
@@ -10,6 +11,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import swirlaudit as sa
+from swirlaudit import figures
+from swirlaudit.audits import _sort_order
 from swirlaudit.errors import EmptyDatasetError, MalformedRowError, PairingError
 from swirlaudit.figures import swirl_profile
 from swirlaudit.reporting import (
@@ -20,7 +23,7 @@ from swirlaudit.reporting import (
     write_profile_csv,
     write_report_json,
 )
-from swirlaudit.transforms import LATENT_ZPRIME, Dataset
+from swirlaudit.transforms import LATENT_Z, LATENT_ZPRIME, Dataset
 
 
 def test_cloud_csv_roundtrip_exact(tmp_path):
@@ -48,7 +51,7 @@ def reference_cloud_csv(points, header):
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    n=st.sampled_from([1, 65535, 65536, 65537]),
+    n=st.sampled_from([1, 8191, 8192, 8193]),
     values=st.lists(
         st.one_of(st.sampled_from(EDGE_VALUES),
                   st.floats(allow_nan=False, allow_infinity=False)),
@@ -199,6 +202,57 @@ def test_profile_unwraps_large_rotations():
     deep = profile[(profile["r_hi"] <= 0.02) & (profile["count"] > 0)]
     assert deep.size > 0
     assert np.all(deep["mean_angle"] < -3.0)
+
+
+def reference_profile(Z, Zp, bin_width=0.01):
+    """The swirl profile through numpy's stable argsort, digitize and unwrap."""
+    radii = Z.radii()
+    wrapped = figures.angular_displacement(Z.points, Zp.points)
+    order = np.argsort(radii, kind="stable")[::-1]
+    unwrapped = np.empty_like(wrapped)
+    unwrapped[order] = np.unwrap(wrapped[order])
+    n_bins = math.ceil(math.sqrt(2.0) / bin_width)
+    edges = np.linspace(0.0, n_bins * bin_width, n_bins + 1)
+    idx = np.clip(np.digitize(radii, edges) - 1, 0, n_bins - 1)
+    counts = np.bincount(idx, minlength=n_bins)
+    with np.errstate(invalid="ignore"):
+        angle_mean = np.bincount(idx, weights=unwrapped, minlength=n_bins) / counts
+        radius_mean = np.bincount(idx, weights=radii, minlength=n_bins) / counts
+    table = np.empty(n_bins, dtype=figures._PROFILE_DTYPE)
+    table["r_lo"], table["r_hi"], table["r_mean"] = edges[:-1], edges[1:], radius_mean
+    table["count"], table["mean_angle"] = counts, angle_mean
+    return table
+
+
+@pytest.mark.parametrize("a", [3.6, -3.6, 20.0, -45.0])
+def test_profile_equals_the_numpy_reference(a):
+    # 20 and 45 exceed 2*pi/c, so the unwrap corrects more than once
+    p = sa.MpaParams(a, 0.9)
+    pts = sa.sample_uniform_square(30_000, 5).points
+    edges = np.linspace(0.0, 142 * 0.01, 143)[[1, 37, 89, 90, 141, 142]]
+    on_edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)])
+    pts = np.concatenate([
+        pts, pts[:500], -pts[500:1000],  # tied radii: the fast sort is not kept
+        np.column_stack([on_edges, np.zeros_like(on_edges)]),
+        np.column_stack([np.zeros_like(on_edges), -on_edges]),
+        [[1.5, 0.2], [-2.0, 1.0], [0.0, 3.0]],  # past the last edge
+    ])
+    Z = Dataset(points=pts, label=LATENT_Z, seed=0)
+    _, Zp = sa.apply_pipeline(sa.Mixing2.from_rows(1.0, 0.5, 0.0, 1.0), p, Z)
+    assert not _sort_order(Z.radii())[1]
+    assert swirl_profile(Z, Zp).tobytes() == reference_profile(Z, Zp).tobytes()
+
+
+# consecutive entries from this list step by exactly +-pi or +-2*pi
+PHASES = [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from(PHASES), st.floats(-30.0, 30.0)), max_size=40))
+@example(values=[0.0, np.pi, 0.0, -np.pi, -0.0, -2 * np.pi, -np.pi, -0.0, 5.0, -0.0])
+def test_lean_unwrap_equals_numpy_unwrap(values):
+    p = np.array(values, dtype=np.float64)
+    assert np.array_equal(figures._unwrap(p).view(np.uint64), np.unwrap(p).view(np.uint64))
 
 
 def test_profile_requires_pairing():

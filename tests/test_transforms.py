@@ -235,6 +235,58 @@ def test_swirl_outside_cutoff_keeps_signed_zeros():
     assert sa.mpa_inverse(p, z).tobytes() == z.tobytes()
 
 
+def reference_swirl(p, z):
+    """The swirl as one full-array formula: every point rotated, the angle 0 outside
+    the cutoff, and the zero coordinates outside patched back."""
+    z = np.asarray(z, dtype=np.float64)
+    r = np.hypot(z[..., 0], z[..., 1])
+    theta = p.rotation_angle(r)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    out = np.empty_like(z)
+    out[..., 0] = cos_t * z[..., 0] - sin_t * z[..., 1]
+    out[..., 1] = sin_t * z[..., 0] + cos_t * z[..., 1]
+    zero = np.flatnonzero(z == 0.0)
+    zero = zero[r.flat[zero // 2] > p.c]
+    out.flat[zero] = z.flat[zero]
+    return out
+
+
+# signed zeros inside and outside the cutoff c = 0.9, and points at radius exactly c
+SWIRL_EDGE_POINTS = [[-0.0, 0.5], [0.5, -0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, -0.95],
+                     [0.95, -0.0], [-0.0, 0.95], [-0.95, 0.0], [0.9, 0.0], [-0.0, -0.9],
+                     [0.54, 0.72], [-0.72, -0.54]]
+
+
+@pytest.mark.parametrize("n", [16383, 16384, 16385])
+@pytest.mark.parametrize("p", [P_DEFAULT(), sa.MpaParams(-3.6, 0.9),
+                               sa.MpaParams.degenerate_fixture()])
+def test_swirl_blocks_equal_the_full_array_formula(n, p):
+    assert sa.transforms.BLOCK_ROWS == 16384 and np.hypot(0.54, 0.72) == 0.9
+    z = sa.sample_uniform_square(n, seed=n).points.copy()
+    # the edge points first and last; at n = 16385 the last ones span the block boundary
+    z[:len(SWIRL_EDGE_POINTS)] = z[-len(SWIRL_EDGE_POINTS):] = SWIRL_EDGE_POINTS
+    assert sa.mpa_forward(p, z).view(np.uint64).tobytes() == \
+        reference_swirl(p, z).view(np.uint64).tobytes()
+    stacked = z[:n // 3 * 3].reshape(3, -1, 2)
+    out = sa.mpa_forward(p, stacked)
+    assert out.shape == stacked.shape
+    assert np.array_equal(out.view(np.uint64), reference_swirl(p, stacked).view(np.uint64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.floats(-1000.0, 1000.0).filter(lambda a: a != 0.0),
+    c=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_swirl_blocks_equal_the_full_array_formula_over_parameters(a, c, seed):
+    p = sa.MpaParams(a, c)
+    z = np.concatenate([sa.sample_uniform_square(20_000, seed=seed).points,
+                        [[c, 0.0], [-0.0, -c], [-0.0, 0.0], [0.0, -0.0]]])
+    assert np.array_equal(sa.mpa_forward(p, z).view(np.uint64),
+                          reference_swirl(p, z).view(np.uint64))
+
+
 def test_swirl_boundary_point_fixed():
     # at radius exactly c the rotation angle is zero, so both branches agree
     p = P_DEFAULT()
