@@ -163,18 +163,28 @@ def _grid_counts(points: NDArray[np.float64], bins: int, box) -> NDArray[np.floa
     per axis, with :func:`_digitize` in place of its binary search; cells 0 and
     bins + 1 catch the outliers.  As there, ``hi`` counts in the last bin and a
     zero-width range grows 0.5 each way.  Cells narrower than a normal float, where
-    the histogram's edges may run backwards, are refused."""
-    flat = np.zeros(len(points), dtype=np.intp)
-    for axis, (lo, hi) in enumerate(box):
+    the histogram's edges may run backwards, are refused.
+
+    The points are binned :data:`~swirlaudit.transforms.BLOCK_ROWS` rows at a time
+    and each block's counts are added, so the temporaries stay ~1 MB whatever the
+    number of points; the counts are exact integers, whatever the blocks."""
+    axes = []
+    for lo, hi in box:
         lo, hi = (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
         if not bins * np.finfo(np.float64).tiny <= hi - lo < np.inf:
             raise ValueError(f"range [{lo}, {hi}] is not finite, or too narrow for {bins} bins")
         edges = np.linspace(lo, hi, bins + 1)
         edges[-1] = np.nextafter(hi, np.inf)
+        axes.append((edges, bins / (hi - lo)))
+    counts = np.zeros((bins + 2) ** 2, dtype=np.intp)
+    for start in range(0, len(points), BLOCK_ROWS):
+        block = points[start:start + BLOCK_ROWS]
+        flat = _digitize(block[:, 0], *axes[0])
         flat *= bins + 2
-        flat += _digitize(points[:, axis], edges, bins / (hi - lo))
-    counts = np.bincount(flat, minlength=(bins + 2) ** 2).reshape(bins + 2, bins + 2)
-    return counts[1:-1, 1:-1].astype(np.float64)
+        flat += _digitize(block[:, 1], *axes[1])
+        part = np.bincount(flat)
+        counts[:part.size] += part
+    return counts.reshape(bins + 2, bins + 2)[1:-1, 1:-1].astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -397,13 +407,27 @@ def check_sigma_algebra_proxy(
 
 def _max_distance(f: Callable[[NDArray[np.float64]], ArrayLike], points: NDArray[np.float64],
                   targets: NDArray[np.float64]) -> np.float64:
-    """Largest Euclidean distance from ``f(points[i])`` to ``targets[i]`` (NaN if any
-    is), with ``f`` applied one block of rows at a time."""
-    return np.max([
-        np.hypot(*(np.asarray(f(points[start:start + BLOCK_ROWS]), dtype=np.float64)
-                   - targets[start:start + BLOCK_ROWS]).T).max()
-        for start in range(0, len(points), BLOCK_ROWS)
-    ])
+    """Largest Euclidean distance ``np.hypot`` gives from ``f(points[i])`` to ``targets[i]``
+    (NaN if any is), with ``f`` applied one block of rows at a time.
+
+    ``np.hypot`` calls libm once per value, so it is called only on the rows whose
+    squared distance comes within a relative 2**-40 of the block's largest: the
+    squares are within a few ulp of the exact ones and ``hypot`` within 1 ulp, so
+    every other row is shorter whatever either rounds to.  A block whose largest
+    square is NaN, infinite (overflow) or below 2**-960 (where subnormal squares
+    lose that precision) takes every row."""
+    tops = []
+    for start in range(0, len(points), BLOCK_ROWS):
+        dx, dy = (np.asarray(f(points[start:start + BLOCK_ROWS]), dtype=np.float64)
+                  - targets[start:start + BLOCK_ROWS]).T
+        with np.errstate(over="ignore"):
+            sq = dx * dx + dy * dy
+        top = sq.max()
+        if 2.0**-960 <= top < np.inf:
+            near = np.flatnonzero(sq >= top * (1.0 - 2.0**-40))
+            dx, dy = dx[near], dy[near]
+        tops.append(np.hypot(dx, dy).max())
+    return np.max(tops)
 
 
 def check_compact_support(
@@ -634,6 +658,65 @@ def run_audit(A: Mixing2, p: MpaParams, n: int, seed: int, **options) -> AuditRe
     return audit_pair(Z, Zp, maps=(A, p, X), **options)
 
 
+def _check_premises(
+    Z: Dataset,
+    Zp: Dataset,
+    maps: tuple[Mixing2, MpaParams, Dataset] | None,
+    bins_support: int,
+    bins_uniformity: int,
+    l_max: float,
+) -> tuple[tuple[Premise, ...], float, dict]:
+    """Every check of :func:`audit_pair` but the relation: its premises, the
+    uniformity p-value of ``Z'``, and the parameters that name the maps."""
+    if maps is None:
+        note = {"note": "not-applicable: no analytic maps supplied"}
+        map_premises = (
+            Premise("continuity", None, None, l_max, note),
+            Premise("sigma-algebra", None, None, SIGMA_PROXY_TOL, note),
+        )
+        parameters = {"n": Z.n, "seed": None}
+    else:
+        A, p, X = maps
+        x_box = bounding_box(X.points)
+        f_pass, f_ratio = check_continuity(
+            lambda x: unmix(A, x), x_box, seed=[Z.seed, 1], l_max=l_max
+        )
+        fp_pass, fp_ratio = check_continuity(
+            lambda x: mpa_forward(p, unmix(A, x)), x_box, seed=[Z.seed, 2], l_max=l_max
+        )
+        sigma_pass, sigma_err = check_sigma_algebra_proxy(
+            Z, Zp, lambda z: mpa_forward(p, z), lambda zp: mpa_inverse(p, zp)
+        )
+        map_premises = (
+            Premise("continuity", f_pass and fp_pass, max(f_ratio, fp_ratio), l_max),
+            Premise("sigma-algebra", sigma_pass, sigma_err, SIGMA_PROXY_TOL),
+        )
+        parameters = {
+            "a": p.a,
+            "c": p.c,
+            "degenerate_a": p.degenerate,
+            "A": A.matrix.tolist(),
+            "n": Z.n,
+            "seed": Z.seed,
+        }
+
+    z_ok, z_box = check_compact_support(Z, _SQUARE)
+    zp_ok, zp_box = check_compact_support(Zp, _SQUARE)
+    union_box = np.column_stack(
+        [np.minimum(z_box[:, 0], zp_box[:, 0]), np.maximum(z_box[:, 1], zp_box[:, 1])]
+    )
+    is_z, frac_z = check_independent_support(Z, bins_support)
+    is_zp, frac_zp = check_independent_support(Zp, bins_support)
+    premises = (
+        *map_premises,
+        Premise("compact-support", z_ok and zp_ok, support_overshoot(union_box, _SQUARE),
+                BOX_SLACK, {"box": union_box.tolist()}),
+        Premise("independent-support-Z", is_z, frac_z, 1.0),
+        Premise("independent-support-Zprime", is_zp, frac_zp, 1.0),
+    )
+    return premises, check_uniformity(Zp, bins_uniformity), parameters
+
+
 def audit_pair(
     Z: Dataset,
     Zp: Dataset,
@@ -660,71 +743,29 @@ def audit_pair(
     :class:`PairingError`, and an ``n`` below any floor of :data:`SAMPLE_FLOORS`
     raises one :class:`UndersampledError` that names every floor missed.
 
-    The relation check runs on a worker thread while this thread runs the
-    continuity, sigma-algebra and compact-support checks; every check is a pure
-    function of the read-only clouds, and numpy releases the interpreter lock in
-    their sorts, gathers and loops.  The worker is joined before the support grid
-    and uniformity checks, whose histogram temporaries so stay out of the overlap,
-    and always before this function returns or raises, so a process that forks
-    around the audit (the CLI's cloud writers) never forks with a live thread.
+    The relation check runs on this thread while a worker thread runs every other
+    check: continuity, the sigma-algebra premise, compact support, the two support
+    grids and uniformity.  Every check is a pure function of the read-only clouds,
+    and numpy releases the interpreter lock in their sorts, gathers and loops, so the
+    report is the one a single thread makes.  The audit's largest temporaries, the
+    relation check's, so come from the heap that made the clouds, not from a second
+    allocator arena; the worker's stay small, since its checks work in blocks of
+    rows.  The worker is joined
+    before this function returns or raises, so a process that forks around the
+    audit (the CLI's cloud writers) never forks with a live thread.
     """
     if Z.n != Zp.n:
         raise PairingError(f"row-count mismatch: {Z.n} vs {Zp.n}")
     _require_samples(Z.n, bins_support=bins_support, bins_uniformity=bins_uniformity,
                      bins_relation=bins_relation)
     with ThreadPoolExecutor(max_workers=1) as worker:
-        relation = worker.submit(check_coordinatewise_relation, Z, Zp, bins=bins_relation,
-                                 threshold=functional_threshold)
-        if maps is None:
-            note = {"note": "not-applicable: no analytic maps supplied"}
-            map_premises = (
-                Premise("continuity", None, None, l_max, note),
-                Premise("sigma-algebra", None, None, SIGMA_PROXY_TOL, note),
-            )
-            parameters = {"n": Z.n, "seed": None}
-        else:
-            A, p, X = maps
-            x_box = bounding_box(X.points)
-            f_pass, f_ratio = check_continuity(
-                lambda x: unmix(A, x), x_box, seed=[Z.seed, 1], l_max=l_max
-            )
-            fp_pass, fp_ratio = check_continuity(
-                lambda x: mpa_forward(p, unmix(A, x)), x_box, seed=[Z.seed, 2], l_max=l_max
-            )
-            sigma_pass, sigma_err = check_sigma_algebra_proxy(
-                Z, Zp, lambda z: mpa_forward(p, z), lambda zp: mpa_inverse(p, zp)
-            )
-            map_premises = (
-                Premise("continuity", f_pass and fp_pass, max(f_ratio, fp_ratio), l_max),
-                Premise("sigma-algebra", sigma_pass, sigma_err, SIGMA_PROXY_TOL),
-            )
-            parameters = {
-                "a": p.a,
-                "c": p.c,
-                "degenerate_a": p.degenerate,
-                "A": A.matrix.tolist(),
-                "n": Z.n,
-                "seed": Z.seed,
-            }
-
-        z_ok, z_box = check_compact_support(Z, _SQUARE)
-        zp_ok, zp_box = check_compact_support(Zp, _SQUARE)
-    conclusion = relation.result()
-    union_box = np.column_stack(
-        [np.minimum(z_box[:, 0], zp_box[:, 0]), np.maximum(z_box[:, 1], zp_box[:, 1])]
-    )
-    is_z, frac_z = check_independent_support(Z, bins_support)
-    is_zp, frac_zp = check_independent_support(Zp, bins_support)
-    pvalue = check_uniformity(Zp, bins_uniformity)
-
+        checked = worker.submit(_check_premises, Z, Zp, maps, bins_support, bins_uniformity,
+                                l_max)
+        conclusion = check_coordinatewise_relation(Z, Zp, bins=bins_relation,
+                                                   threshold=functional_threshold)
+    premises, pvalue, parameters = checked.result()
     return AuditReport(
-        premises=(
-            *map_premises,
-            Premise("compact-support", z_ok and zp_ok, support_overshoot(union_box, _SQUARE),
-                    BOX_SLACK, {"box": union_box.tolist()}),
-            Premise("independent-support-Z", is_z, frac_z, 1.0),
-            Premise("independent-support-Zprime", is_zp, frac_zp, 1.0),
-        ),
+        premises=premises,
         uniformity_pvalue_zprime=pvalue,
         uniformity_alpha=alpha,
         conclusion=conclusion,

@@ -120,10 +120,17 @@ def _drop_stale_report(cfg: RunConfig) -> None:
     (Path(cfg.output_dir) / "report.json").unlink(missing_ok=True)
 
 
-def _write_cloud_or_exit(path: Path, points, header: str) -> None:
-    """Body of a cloud-writer child: write one cloud, exit ``EXIT_IO`` on an I/O error."""
+def _write_cloud(path: Path, points, header: str, svg: tuple | None) -> None:
+    """Write one cloud, then its SVG scatter when ``svg`` is ``(path, axis_range, title)``."""
+    write_cloud_csv(path, points, header=header)
+    if svg is not None:
+        render_scatter_svg(points, *svg)
+
+
+def _write_cloud_or_exit(*job) -> None:
+    """Body of a cloud-writer child: :func:`_write_cloud`, exit ``EXIT_IO`` on an I/O error."""
     try:
-        write_cloud_csv(path, points, header=header)
+        _write_cloud(*job)
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         sys.exit(EXIT_IO)
@@ -133,41 +140,39 @@ def _write_cloud_or_exit(path: Path, points, header: str) -> None:
 def _emit_bundle(cfg: RunConfig, Z, X, Zp, render: bool) -> Iterator[Path]:
     """Write the output bundle; the ``with`` body runs while the clouds are written.
 
-    Where the platform can fork, each cloud is formatted and written by a
-    forked child, which inherits the points instead of receiving a pickled
-    copy, so the three clouds and the body share the cores.  Elsewhere the
-    clouds are written here before the body.  The profile (and the SVGs)
-    follow the body.  The children are joined however the body ends; a
-    child that failed raises :class:`OSError` naming its file, so no report
-    is written after it.
+    Where the platform can fork, each cloud is formatted and written, then
+    rendered to SVG if asked, by a forked child, which inherits the points
+    instead of receiving a pickled copy, so the three clouds and the body share
+    the cores.  Elsewhere the clouds (and SVGs) are written here before the
+    body.  The profile follows the body.  The children are joined however the
+    body ends; a child that failed raises :class:`OSError` naming its files, so
+    no report is written after it.
     """
     import multiprocessing  # here, so that importing the CLI stays fast
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    clouds = ((out / "z.csv", Z.points, "z1,z2"),
-              (out / "x.csv", X.points, "x1,x2"),
-              (out / "zprime.csv", Zp.points, "z1,z2"))
+    x_span = float(max(1.0, np.abs(X.points).max())) * 1.05 if render else None
+    clouds = (("z", Z.points, "z1,z2", 1.05, "sources Z"),
+              ("x", X.points, "x1,x2", x_span, "observations X"),
+              ("zprime", Zp.points, "z1,z2", 1.05, "alternate sources Z'"))
     can_fork = "fork" in multiprocessing.get_all_start_methods()
     writers = []
     try:
-        for path, points, header in clouds:
+        for stem, points, header, span, title in clouds:
+            svg = (out / f"{stem}.svg", (-span, span), title) if render else None
+            job = (out / f"{stem}.csv", points, header, svg)
             if not can_fork:
-                write_cloud_csv(path, points, header=header)
+                _write_cloud(*job)
                 continue
             writer = multiprocessing.get_context("fork").Process(
-                target=_write_cloud_or_exit, args=(path, points, header), name=str(path)
+                target=_write_cloud_or_exit, args=job,
+                name=f"{job[0]} or {svg[0]}" if render else str(job[0]),
             )
             writer.start()
             writers.append(writer)
         yield out
         write_profile_csv(out / "swirl_profile.csv", swirl_profile(Z, Zp))
-        if render:
-            span = float(max(1.0, np.abs(X.points).max())) * 1.05
-            render_scatter_svg(Z.points, out / "z.svg", title="sources Z")
-            render_scatter_svg(X.points, out / "x.svg", axis_range=(-span, span),
-                               title="observations X")
-            render_scatter_svg(Zp.points, out / "zprime.svg", title="alternate sources Z'")
     finally:
         for writer in writers:
             writer.join()

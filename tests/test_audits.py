@@ -2,6 +2,7 @@
 
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -333,6 +334,15 @@ def test_relation_swirl_is_not_coordinate_wise():
     assert verdict.best_max_score >= 0.05
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the score is not rank-invariant: Z' = Z**9 scores ~0.0125 > 0.01 "
+                          "at n = 1e5 (k = 30 of 1/bins**2); ROADMAP item 1's rank score mends it")
+def test_relation_steep_coordinate_wise_map_is_coordinate_wise():
+    Z = sa.sample_uniform_square(100_000, 7)
+    verdict = check_coordinatewise_relation(Z, as_zprime(Z.points ** 9, seed=7), bins=50)
+    assert verdict.verdict == COORDINATE_WISE
+
+
 def test_relation_requires_pairing_and_samples():
     Z = sa.sample_uniform_square(2600, 1)
     with pytest.raises(PairingError):
@@ -380,30 +390,33 @@ CHECKS = (
 )
 
 
-def count_check_calls(monkeypatch):
-    """Replace every ``audits.check_*`` by a wrapper recording its name; return the record."""
+def record_check_calls(monkeypatch, wrap=lambda name, check: check):
+    """Replace every ``audits.check_*`` by a wrapper that records its name and whether it
+    ran on the main thread, and that calls ``wrap(name, check)`` in place of ``check``.
+    Return the record."""
     calls = []
     for name in CHECKS:
-        def counting(*args, _name=name, _check=getattr(audits, name), **kwargs):
-            calls.append(_name)
+        def recording(*args, _name=name, _check=wrap(name, getattr(audits, name)), **kwargs):
+            calls.append((_name, threading.current_thread() is threading.main_thread()))
             return _check(*args, **kwargs)
-        monkeypatch.setattr(audits, name, counting)
+        monkeypatch.setattr(audits, name, recording)
     return calls
 
 
 def test_audit_pair_rejects_unpaired_clouds_before_any_check(monkeypatch):
-    calls = count_check_calls(monkeypatch)
+    calls = record_check_calls(monkeypatch)
     Z = sa.sample_uniform_square(20_000, 1)
     with pytest.raises(PairingError):
         audit_pair(Z, as_zprime(Z.points[:-1]))
     assert calls == []
     # the same clouds, paired, do reach every check that runs without maps
     audit_pair(Z, as_zprime(Z.points))
-    assert set(calls) == set(CHECKS) - {"check_continuity", "check_sigma_algebra_proxy"}
+    assert {name for name, _ in calls} == set(CHECKS) - {"check_continuity",
+                                                         "check_sigma_algebra_proxy"}
 
 
 def test_audit_pair_names_every_missed_floor_in_one_error(monkeypatch):
-    calls = count_check_calls(monkeypatch)
+    calls = record_check_calls(monkeypatch)
     Z = sa.sample_uniform_square(100, 3)
     with pytest.raises(UndersampledError) as info:
         audit_pair(Z, as_zprime(Z.points[::-1]))
@@ -420,36 +433,53 @@ class CheckFailed(RuntimeError):
     pass
 
 
-def test_relation_error_on_the_worker_reaches_the_caller(monkeypatch):
-    def failing_relation(*args, **kwargs):
-        raise CheckFailed("relation")
-    monkeypatch.setattr(audits, "check_coordinatewise_relation", failing_relation)
+# the checks that audit_pair's worker runs, in order, while the calling thread runs the relation
+WORKER_ORDER = ("check_continuity", "check_continuity", "check_sigma_algebra_proxy",
+                "check_compact_support", "check_compact_support", "check_independent_support",
+                "check_independent_support", "check_uniformity")
+
+
+def test_worker_error_reaches_the_caller_with_its_type(monkeypatch):
+    def failing(*args, **kwargs):
+        raise CheckFailed("sigma-algebra")
+    ran = record_check_calls(
+        monkeypatch, lambda name, check: failing if name == "check_sigma_algebra_proxy" else check)
     threads = threading.active_count()
-    with pytest.raises(CheckFailed, match="relation"):
+    with pytest.raises(CheckFailed, match="sigma-algebra"):
         run_audit(default_mixing(), default_swirl(), 10_000, 1)
     assert threading.active_count() == threads
+    # the relation ran on the calling thread, the map checks up to the failing one on the worker
+    assert ("check_coordinatewise_relation", True) in ran
+    assert [entry for entry in ran if entry[0] != "check_coordinatewise_relation"] == [
+        (name, False) for name in WORKER_ORDER[:3]]
 
 
 def test_error_on_the_calling_thread_still_joins_the_worker(monkeypatch):
     finished = []
-    relation = audits.check_coordinatewise_relation
 
-    def slow_relation(*args, **kwargs):
-        time.sleep(0.2)
-        result = relation(*args, **kwargs)
-        finished.append(threading.current_thread() is not threading.main_thread())
-        return result
+    def failing(*args, **kwargs):
+        raise CheckFailed("relation")
 
-    def failing_sigma(*args, **kwargs):
-        raise CheckFailed("sigma-algebra")
-    monkeypatch.setattr(audits, "check_coordinatewise_relation", slow_relation)
-    monkeypatch.setattr(audits, "check_sigma_algebra_proxy", failing_sigma)
+    def slowed(check):
+        def slow(*args, **kwargs):
+            time.sleep(0.2)
+            result = check(*args, **kwargs)
+            finished.append(threading.current_thread() is threading.main_thread())
+            return result
+        return slow
+
+    ran = record_check_calls(monkeypatch, lambda name, check: (
+        failing if name == "check_coordinatewise_relation"
+        else slowed(check) if name == "check_uniformity" else check))
     threads = threading.active_count()
-    with pytest.raises(CheckFailed, match="sigma-algebra"):
+    with pytest.raises(CheckFailed, match="relation"):
         run_audit(default_mixing(), default_swirl(), 10_000, 1)
-    # the relation ran on the worker, and had ended when the error reached the caller
-    assert finished == [True]
+    # the slowed uniformity check, the worker's last, had ended when the error reached the caller
+    assert finished == [False]
     assert threading.active_count() == threads
+    assert ("check_coordinatewise_relation", True) in ran
+    assert [entry for entry in ran if entry[0] != "check_coordinatewise_relation"] == [
+        (name, False) for name in WORKER_ORDER]
 
 
 @pytest.mark.parametrize("check, message", [
@@ -718,3 +748,99 @@ def test_grid_counts_refuse_cells_narrower_than_a_normal_float():
     with pytest.raises(ValueError, match="too narrow for 2 bins"):
         audits._grid_counts(pts, 2, bounding_box(pts))
     assert audits._grid_counts(pts, 1, bounding_box(pts)).sum() == 2.0
+
+
+@pytest.mark.parametrize("n", [16383, 16384, 16385, 49153])
+def test_grid_counts_equal_numpy_histogram_across_blocks(n):
+    assert audits.BLOCK_ROWS == 16384
+    pts = np.random.default_rng(n).uniform(-1.2, 1.2, (n, 2))
+    # the edges and their float neighbours in the last rows, and outliers throughout
+    edges = np.linspace(-1.0, 1.0, 11)
+    pts[-12:-1, 0] = edges
+    pts[-12:-1, 1] = np.nextafter(edges, -np.inf)
+    for box in (np.array(audits._SQUARE), bounding_box(pts)):
+        want, _, _ = np.histogram2d(pts[:, 0], pts[:, 1], bins=10, range=[tuple(b) for b in box])
+        assert np.array_equal(audits._grid_counts(pts, 10, box), want)
+
+
+def reference_max_distance(f, points, targets):
+    """``_max_distance`` as one ``np.hypot`` over every row of each block."""
+    rows = audits.BLOCK_ROWS
+    return np.max([np.hypot(*(np.asarray(f(points[start:start + rows]), dtype=np.float64)
+                              - targets[start:start + rows]).T).max()
+                   for start in range(0, len(points), rows)])
+
+
+def hypot_order_flips(radius, seed=1):
+    """Pairs of rows ``(a, b)`` with ``hypot(a) > hypot(b)`` but ``a``'s squared length
+    below ``b``'s, found among points rounded onto the circle of ``radius``."""
+    t = np.random.default_rng(seed).random(100_000) * 2 * np.pi
+    pts = np.column_stack([np.cos(t), np.sin(t)]) * radius
+    sq = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
+    h = np.hypot(pts[:, 0], pts[:, 1])
+    values = np.unique(h)
+    pairs = []
+    for lower, upper in zip(values[:-1], values[1:]):
+        above, below = np.flatnonzero(h == upper), np.flatnonzero(h == lower)
+        a, b = above[np.argmin(sq[above])], below[np.argmax(sq[below])]
+        if sq[b] > sq[a]:
+            pairs.append(pts[[a, b]])
+    return pairs
+
+
+@pytest.mark.parametrize("radius", [0.9, 3.7, 1e-150, 1e150, 1e-155, 1e-161])
+def test_max_distance_takes_hypot_where_the_squares_order_the_rows_otherwise(radius):
+    # a row of the largest hypot can have the smaller square: the margin must keep it, and
+    # a block of subnormal squares (radius 1e-155 and less) must take every row
+    pairs = hypot_order_flips(radius)
+    assert pairs
+    for pair in pairs:
+        for rows in (pair, pair[::-1], np.concatenate([pair, pair * 0.5])):
+            got = audits._max_distance(lambda z: z, rows, np.zeros_like(rows))
+            assert got == np.hypot(*pair[0]) == reference_max_distance(lambda z: z, rows,
+                                                                        np.zeros_like(rows))
+
+
+@st.composite
+def distance_cases(draw):
+    """Rows at one scale, from subnormal squares to overflowing ones, on a circle (so the
+    distances are within a few ulp) or Gaussian; with NaN, infinities, zeros, huge and
+    tiny coordinates put in, and the largest row copied (tied maxima); n straddles blocks."""
+    rows = audits.BLOCK_ROWS
+    n = draw(st.sampled_from([1, 2, 5, 300, rows - 1, rows, rows + 1, 2 * rows + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-300, 1e-170, 1e-161, 1e-150, 1e-5, 1.0, 1e150, 1e154,
+                                  1e155, 1e200, 1e300]))
+    if draw(st.booleans()):
+        t = rng.random(n) * 2 * np.pi
+        diff = np.column_stack([np.cos(t), np.sin(t)]) * scale
+    else:
+        diff = rng.standard_normal((n, 2)) * scale
+    for row, col, value in draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, 1),
+            st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e155, -3e200, 1e-161, 5e-324])),
+            max_size=4)):
+        diff[row, col] = value
+    if draw(st.booleans()):
+        length = np.hypot(diff[:, 0], diff[:, 1])
+        top = diff[np.argmax(np.where(np.isnan(length), -np.inf, length))]
+        copies = rng.integers(0, n, 3)
+        diff[copies] = top
+        diff[copies[0]] = top[::-1]
+    if draw(st.booleans()):
+        diff[:] = 0.0
+    targets = np.zeros_like(diff) if draw(st.booleans()) else rng.standard_normal((n, 2))
+    return diff + targets, targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=distance_cases())
+def test_max_distance_equals_the_full_hypot(case):
+    points, targets = case
+    with np.errstate(all="ignore"):
+        want = reference_max_distance(lambda z: z, points, targets)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = audits._max_distance(lambda z: z, points, targets)
+    assert type(got) is np.float64
+    assert float(got).hex() == float(want).hex()

@@ -15,6 +15,7 @@ import swirlaudit
 from swirlaudit import audits, cli
 from swirlaudit.cli import main
 from swirlaudit.errors import SwirlAuditError
+from swirlaudit.figures import render_scatter_svg
 from swirlaudit.config import load_config
 from swirlaudit.reporting import read_cloud_csv, write_cloud_csv
 
@@ -76,13 +77,13 @@ def test_run_unwritable_output_dir(tmp_path, capsys):
     assert "I/O failure" in capsys.readouterr().err
 
 
-def certify_then_fail(tmp_path, break_run):
+def certify_then_fail(tmp_path, break_run, render=False):
     cfg = write_cfg(tmp_path, "n = 10000\nseed = 5\n")
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     assert read_json(out / "report.json")["counterexample_certified"] is True
     break_run(out)
-    return main(["run", "--config", cfg, "--out", str(out)]), out
+    return main(["run", "--config", cfg, "--out", str(out)] + ["--render"] * render), out
 
 
 def test_failed_audit_leaves_no_certified_report(tmp_path, monkeypatch, capsys):
@@ -114,6 +115,19 @@ def test_failed_write_leaves_no_certified_report(tmp_path, capsys):
     assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
+def test_failed_render_exits_4_and_names_its_file(tmp_path, capsys):
+    def block_svg(out):
+        (out / "x.svg").mkdir()
+
+    code, out = certify_then_fail(tmp_path, block_svg, render=True)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "error: I/O failure:" in err and "x.svg" in err
+    assert not (out / "report.json").exists()
+    assert multiprocessing.active_children() == []
+    assert (out / "z.svg").is_file() and (out / "zprime.svg").is_file()
+
+
 @pytest.mark.parametrize("start_methods", [None, ["spawn"]], ids=["native", "no-fork"])
 def test_run_clouds_equal_the_in_process_writer(tmp_path, monkeypatch, start_methods):
     # None: this platform's start methods (forked writers where fork exists);
@@ -130,7 +144,7 @@ def test_run_clouds_equal_the_in_process_writer(tmp_path, monkeypatch, start_met
     monkeypatch.setattr(cli, "write_cloud_csv", counting)
     cfg_path = write_cfg(tmp_path, "n = 10000\nseed = 5\n")
     out = tmp_path / "out"
-    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    assert main(["run", "--config", cfg_path, "--out", str(out), "--render"]) == 0
     forked = "fork" in multiprocessing.get_all_start_methods()
     assert len(parent_writes) == (0 if forked else 3)
 
@@ -141,6 +155,13 @@ def test_run_clouds_equal_the_in_process_writer(tmp_path, monkeypatch, start_met
     for name, points, header in (("z.csv", Z.points, "z1,z2"), ("x.csv", X.points, "x1,x2"),
                                  ("zprime.csv", Zp.points, "z1,z2")):
         write_cloud_csv(ref / name, points, header=header)
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+    # the scatters as the parent process rendered them, one after another
+    span = float(max(1.0, np.abs(X.points).max())) * 1.05
+    render_scatter_svg(Z.points, ref / "z.svg", title="sources Z")
+    render_scatter_svg(X.points, ref / "x.svg", axis_range=(-span, span), title="observations X")
+    render_scatter_svg(Zp.points, ref / "zprime.svg", title="alternate sources Z'")
+    for name in ("z.svg", "x.svg", "zprime.svg"):
         assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 

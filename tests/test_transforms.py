@@ -3,6 +3,7 @@
 import contextlib
 import io
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,61 @@ def test_swirl_blocks_equal_the_full_array_formula_over_parameters(a, c, seed):
                         [[c, 0.0], [-0.0, -c], [-0.0, 0.0], [0.0, -0.0]]])
     assert np.array_equal(sa.mpa_forward(p, z).view(np.uint64),
                           reference_swirl(p, z).view(np.uint64))
+
+
+def points_near_the_cutoff(c, seed, count=2000):
+    """Points at radius c moved by up to 8 ulp either way, at random angles, rounded: their
+    squared radii and ``np.hypot`` fall on either side of c*c and c."""
+    radii = [c]
+    for toward in (0.0, 2.0):
+        r = c
+        for _ in range(8):
+            r = np.nextafter(r, toward)
+            radii.append(r)
+    t = np.random.default_rng(seed).random(count) * 2 * np.pi
+    r, t = np.repeat(radii, count), np.tile(t, len(radii))
+    return np.column_stack([r * np.cos(t), r * np.sin(t)])
+
+
+# a rate that turns a point 1 ulp inside the cutoff by a visible angle, at every scale of c
+@pytest.mark.parametrize("c, a", [(0.9, 3.6), (0.9, -1000.0), (0.5, 1e3), (0.3141, -7.5),
+                                  (1e-100, 1e90), (2.0**-480, 1e130), (1e-160, 1e170)])
+def test_swirl_within_8_ulp_of_the_cutoff_equals_the_full_array_formula(c, a):
+    p = sa.MpaParams(a, c)
+    z = points_near_the_cutoff(c, seed=17)
+    assert np.array_equal(sa.mpa_forward(p, z).view(np.uint64),
+                          reference_swirl(p, z).view(np.uint64))
+
+
+@pytest.mark.parametrize("c", [0.9, 0.99, 0.51, 1e-100, 2.0**-480, 1e-160, 5e-324])
+def test_inside_cutoff_selects_the_rows_hypot_puts_inside(c):
+    z = np.concatenate([points_near_the_cutoff(c, seed=5),
+                        [[np.nan, 0.0], [0.0, np.nan], [np.inf, np.nan], [np.inf, 0.0],
+                         [-np.inf, -np.inf], [1e200, 0.5], [-3e200, 1e200], [1e-170, -1e-170],
+                         [0.0, 0.0], [-0.0, c], [c, -0.0], [5e-324, 0.0]]])
+    x, y = z[:, 0], z[:, 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inside, r = sa.transforms._inside_cutoff(x, y, c)
+    radii = np.hypot(x, y)
+    want = np.flatnonzero(radii <= c)
+    assert np.array_equal(inside, want)
+    assert r.tobytes() == radii[want].tobytes()
+
+
+def test_swirl_leaves_huge_points_and_refuses_non_finite_ones():
+    p = P_DEFAULT()
+    # their squared radii overflow to inf: outside, as np.hypot has them, and without a warning
+    z = np.array([[1e200, 0.5], [-3e200, 1e200], [0.1, -1e200], [1e155, -0.0], [0.5, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sa.mpa_forward(p, z)
+    assert out.view(np.uint64).tobytes() == reference_swirl(p, z).view(np.uint64).tobytes()
+    assert out[:4].tobytes() == z[:4].tobytes()
+    for bad in (np.nan, np.inf, -np.inf):
+        for point in ([bad, 0.0], [0.1, bad], [1e200, bad]):
+            with pytest.raises(InvalidPointError):
+                sa.mpa_forward(p, point)
 
 
 def test_swirl_boundary_point_fixed():
