@@ -23,13 +23,12 @@ falsification audits, consistent-with rather than established-by samples.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-from scipy.special import chdtrc
 
 from swirlaudit.errors import InvalidDomainError, PairingError, UndersampledError
 from swirlaudit.transforms import (
@@ -478,14 +477,80 @@ def check_independent_support(D: Dataset, bins: int) -> tuple[bool, float]:
     return fraction == 1.0, fraction
 
 
+def _log_poisson_term(nu: float, y: float) -> float:
+    """``log(y**nu exp(-y) / Gamma(nu + 1))`` for ``nu >= 0`` and ``y > 0``.
+
+    From ``nu = 16`` on this is Loader's saddle-point form
+    ``-nu (u - log1p(u)) - log(2 pi nu) / 2 - stirlerr(nu)`` with
+    ``y = nu (1 + u)`` and ``stirlerr(nu) = lgamma(nu + 1) - (nu + 1/2) log(nu)
+    + nu - log(2 pi) / 2`` from five terms of Stirling's series (the first term
+    left out is ~1e-16 at ``nu = 16``).  Its parts do not cancel when ``y`` is
+    near ``nu``, where the direct sum of ``nu log(y)``, ``-y`` and
+    ``-lgamma(nu + 1)`` would lose ``log10(nu)`` digits.
+    """
+    if nu < 16:
+        return nu * math.log(y) - y - math.lgamma(nu + 1)
+    u = (y - nu) / nu
+    deviance = u - math.log1p(u) if u > -1.0 else math.inf  # y / nu below 2**-53
+    s = 1.0 / (nu * nu)
+    stirlerr = (1 / 12 - s * (1 / 360 - s * (1 / 1260 - s * (1 / 1680 - s / 1188)))) / nu
+    return -nu * deviance - 0.5 * math.log(2 * math.pi * nu) - stirlerr
+
+
+def _chi2_sf(k: int, x: float) -> float:
+    """``P(chi2_k > x)``, the chi-square survival function, for ``k >= 1`` degrees of freedom.
+
+    With ``y = x/2`` and ``m = k // 2`` this is ``Q(k/2, y)``, the regularized
+    upper incomplete gamma function.  Let ``t_j = y**b_j exp(-y) / Gamma(b_j + 1)``
+    with ``b_j = j`` for even ``k`` and ``b_j = j + 1/2`` for odd ``k``.  Then
+    ``Q = sum_{j < m} t_j`` (plus ``erfc(sqrt(y))`` for odd ``k``) and
+    ``1 - Q = sum_{j >= m} t_j``: sums of positive terms, so nothing cancels.
+    Below the mean (``y < k/2``) the second sum is taken and subtracted from 1,
+    so that ``Q`` near 1 is exact to rounding and never exceeds 1.  Either way
+    the largest term is the one next to ``j = m``; it comes from
+    :func:`_log_poisson_term`, and the sum walks away from it with
+    ``t_{j+1} / t_j = y / (b_j + 1)`` until a term no longer changes the
+    total.  That visits ``O(sqrt(k))`` terms in ``O(1)`` memory.  NaN gives
+    NaN, ``x <= 0`` gives 1 and ``x = inf`` gives 0.
+    """
+    if math.isnan(x):
+        return math.nan
+    y = 0.5 * x
+    if y <= 0.0:
+        return 1.0
+    if y == math.inf:
+        return 0.0
+    m, odd = divmod(k, 2)
+    offset = 0.5 * odd
+    total = term = 1.0
+    if y < m + offset:
+        nu = b = m + offset
+        while True:
+            b += 1
+            term *= y / b
+            if total + term == total:
+                break
+            total += term
+        return 1.0 - total * math.exp(_log_poisson_term(nu, y))
+    upper = 0.0
+    if m:
+        for j in range(m - 1, 0, -1):
+            term *= (j + offset) / y
+            if total + term == total:
+                break
+            total += term
+        upper = total * math.exp(_log_poisson_term(m - 1 + offset, y))
+    return upper + math.erfc(math.sqrt(y)) if odd else upper
+
+
 def check_uniformity(D: Dataset, bins: int) -> float:
     """Pearson chi-square goodness of fit against Unif on the square ``[-1, 1]^2``.
 
     The square is cut into ``bins x bins`` equal cells; each has null
     probability ``1/bins**2``.  Samples falling outside the square deplete the
     observed counts and push the statistic up, as they should under this
-    null.  Returns the p-value from the chi-square survival function with
-    ``bins**2 - 1`` degrees of freedom.
+    null.  Returns the p-value ``P(chi2_k > statistic)`` with ``k = bins**2 - 1``
+    degrees of freedom, from the exact finite series of :func:`_chi2_sf`.
 
     Raises
     ------
@@ -497,7 +562,7 @@ def check_uniformity(D: Dataset, bins: int) -> float:
     counts = _grid_counts(D.points, bins, _SQUARE)
     expected = D.n / (bins * bins)
     statistic = float(((counts - expected) ** 2 / expected).sum())
-    return float(chdtrc(bins * bins - 1, statistic))
+    return _chi2_sf(bins * bins - 1, statistic)
 
 
 def _sort_order(values: NDArray) -> tuple[NDArray[np.intp], bool]:
@@ -758,6 +823,8 @@ def audit_pair(
         raise PairingError(f"row-count mismatch: {Z.n} vs {Zp.n}")
     _require_samples(Z.n, bins_support=bins_support, bins_uniformity=bins_uniformity,
                      bins_relation=bins_relation)
+    from concurrent.futures import ThreadPoolExecutor  # here, so that importing stays fast
+
     with ThreadPoolExecutor(max_workers=1) as worker:
         checked = worker.submit(_check_premises, Z, Zp, maps, bins_support, bins_uniformity,
                                 l_max)

@@ -1,14 +1,17 @@
 """Tests for the premise checks and the coordinate-wise-relation verdict."""
 
+import math
 import threading
 import time
+import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 import swirlaudit as sa
 from swirlaudit import audits
@@ -19,6 +22,7 @@ from swirlaudit.audits import (
     CoordRelationVerdict,
     SupportGrid,
     _average_ranks,
+    _chi2_sf,
     _sort_order,
     audit_pair,
     bounding_box,
@@ -216,7 +220,8 @@ def test_uniformity_null_pvalues_look_uniform():
 
 
 def test_uniformity_pvalue_equals_scipy_chi2_sf():
-    # the p-value is the chi-square survival function itself, bit for bit
+    # the p-value is the chi-square survival function, to within scipy's own
+    # rounding: scipy's value is itself up to ~1e-13 off the true one here
     Zp = paired(n=20_000, seed=9)[1]
     for bins in (2, 10, 17):
         counts, _, _ = np.histogram2d(
@@ -224,7 +229,52 @@ def test_uniformity_pvalue_equals_scipy_chi2_sf():
         )
         expected = Zp.n / bins**2
         statistic = float(((counts - expected) ** 2 / expected).sum())
-        assert check_uniformity(Zp, bins) == float(stats.chi2.sf(statistic, bins**2 - 1))
+        assert math.isclose(check_uniformity(Zp, bins), float(stats.chi2.sf(statistic, bins**2 - 1)),
+                            rel_tol=1e-12)
+
+
+# tail probabilities from 1e-12 to 1 - 1e-9, spread over both tails
+_TAILS = st.one_of(st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
+                   st.floats(-9.0, -0.3).map(lambda e: 1.0 - 10.0**e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bins=st.integers(2, 100), tail=_TAILS)
+def test_chi2_sf_matches_50_digit_gammainc(bins, tail):
+    k = bins * bins - 1
+    x = float(special.chdtri(k, tail))
+    with mpmath.workdps(50):
+        exact = mpmath.gammainc(mpmath.mpf(k) / 2, mpmath.mpf(x) / 2, mpmath.inf,
+                                regularized=True)
+        assert abs(_chi2_sf(k, x) - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 99, 288, 9999])
+def test_chi2_sf_edges_and_monotone(k):
+    assert _chi2_sf(k, 0.0) == 1.0
+    assert _chi2_sf(k, math.inf) == 0.0
+    assert math.isnan(_chi2_sf(k, math.nan))
+    # x from 0 past the far upper tail, with steps dense around the mean
+    xs = sorted({*np.linspace(0.0, 4.0 * k + 60.0, 4001), *np.linspace(0.9 * k, 1.1 * k, 4001)})
+    values = [_chi2_sf(k, float(x)) for x in xs]
+    assert all(0.0 <= v <= 1.0 for v in values)
+    assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+
+
+def test_chi2_sf_at_two_million_degrees_in_constant_memory():
+    # bins = 1414, the most that n = 1e7 admits: the series walks O(sqrt(k))
+    # terms and keeps none of them
+    k = 1414**2 - 1
+    for tail in (1e-9, 0.01, 0.5, 0.99):
+        x = float(special.chdtri(k, tail))
+        tracemalloc.start()
+        try:
+            value = _chi2_sf(k, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isclose(value, float(special.chdtrc(k, x)), rel_tol=1e-10)
+        assert peak < 1_000_000
 
 
 def test_uniformity_swirled_cloud():

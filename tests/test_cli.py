@@ -213,15 +213,18 @@ def test_run_samples_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "multiprocessing"])
+@pytest.mark.parametrize("module", ["scipy.stats", "multiprocessing", "concurrent.futures"])
 def test_cli_import_does_not_load_scipy_stats(module):
-    # nor does it start a thread: the audit's worker lives only inside audit_pair
+    # nor any scipy module at all, nor does it start a thread: the audit's
+    # worker lives only inside audit_pair
     probe = (f"import sys, threading, swirlaudit.cli; "
-             f"print({module!r} in sys.modules, threading.active_count())")
+             f"print({module!r} in sys.modules, "
+             f"any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules), "
+             f"threading.active_count())")
     env = {**os.environ, "PYTHONPATH": str(Path(swirlaudit.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout.split() == ["False", "1"]
+    assert done.stdout.split() == ["False", "False", "1"]
 
 
 def test_seed_flag_overrides_config(tmp_path):
