@@ -16,8 +16,8 @@ The package has three layers:
 
 from swirlaudit.audits import (
     AuditReport,
+    AuditSettings,
     CoordRelationVerdict,
-    SupportGrid,
     check_coordinatewise_relation,
     check_compact_support,
     check_continuity,
@@ -59,8 +59,8 @@ __all__ = [
     "jacobian_det_fd",
     # audits
     "AuditReport",
+    "AuditSettings",
     "CoordRelationVerdict",
-    "SupportGrid",
     "check_continuity",
     "check_sigma_algebra_proxy",
     "check_compact_support",

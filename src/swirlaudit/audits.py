@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from swirlaudit.errors import InvalidDomainError, PairingError, UndersampledError
+from swirlaudit.errors import ConfigError, InvalidDomainError, PairingError, UndersampledError
 from swirlaudit.transforms import (
     BLOCK_ROWS,
     SIGMA_PROXY_TOL,
@@ -45,7 +45,7 @@ from swirlaudit.transforms import (
 )
 
 __all__ = [
-    "SupportGrid",
+    "AuditSettings",
     "CoordRelationVerdict",
     "AssignmentScores",
     "Premise",
@@ -58,7 +58,6 @@ __all__ = [
     "check_independent_support",
     "check_uniformity",
     "check_coordinatewise_relation",
-    "rank_correlation",
     "run_audit",
     "generate",
     "audit_pair",
@@ -86,6 +85,39 @@ MIN_COUNT = 5
 _SQUARE = ((-1.0, 1.0), (-1.0, 1.0))
 
 _PERMUTATIONS = ((0, 1), (1, 0))
+
+
+@dataclass(frozen=True)
+class AuditSettings:
+    """The audit's bins and thresholds, each default and valid range written here once.
+    Settings out of range raise one :class:`ConfigError`, naming each, when made."""
+
+    bins_support: int = 10
+    bins_uniformity: int = 10
+    bins_relation: int = 50
+    functional_threshold: float = 0.01
+    alpha: float = 0.001
+    l_max: float = 100.0
+
+    def __post_init__(self):
+        problems = self._problems()
+        if problems:
+            raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
+
+    def _problems(self) -> list[str]:
+        """One message per invalid field, led by the field's name."""
+        problems = [f"{name}: must be >= 2, got {getattr(self, name)}"
+                    for name in ("bins_support", "bins_uniformity", "bins_relation")
+                    if getattr(self, name) < 2]
+        if not 0.0 < self.functional_threshold < 1.0:
+            problems.append(
+                f"functional_threshold: must lie in (0, 1), got {self.functional_threshold}"
+            )
+        if not 0.0 < self.alpha < 1.0:
+            problems.append(f"alpha: must lie in (0, 1), got {self.alpha}")
+        if not 0.0 < self.l_max < math.inf:
+            problems.append(f"l_max: must be positive and finite, got {self.l_max}")
+        return problems
 
 
 def min_samples_support(bins: int) -> int:
@@ -187,57 +219,6 @@ def _grid_counts(points: NDArray[np.float64], bins: int, box) -> NDArray[np.floa
 
 
 @dataclass(frozen=True)
-class SupportGrid:
-    """Histogram-based estimate of a joint support and its marginals.
-
-    A cell (joint or marginal) counts as occupied when it holds at least
-    ``min_count`` samples.  Marginal occupancy is computed from the marginal
-    counts, so an occupied joint cell always has occupied marginal cells.
-    """
-
-    bins_per_axis: int
-    occupancy: NDArray[np.bool_]
-    marginal_occupancy: tuple[NDArray[np.bool_], NDArray[np.bool_]]
-    min_count: int
-
-    def __post_init__(self):
-        if self.bins_per_axis < 2:
-            raise ValueError(f"bins_per_axis must be >= 2, got {self.bins_per_axis}")
-        occupied = self.occupancy
-        marg1, marg2 = self.marginal_occupancy
-        if occupied.shape != (self.bins_per_axis, self.bins_per_axis):
-            raise ValueError("occupancy table shape does not match bins_per_axis")
-        implied = np.outer(marg1, marg2)
-        if np.any(occupied & ~implied):
-            raise ValueError("occupied joint cell with unoccupied marginal cell")
-
-    @classmethod
-    def from_points(
-        cls, points: ArrayLike, bins_per_axis: int, min_count: int
-    ) -> "SupportGrid":
-        """Build the grid over the empirical bounding box of the points."""
-        pts = np.asarray(points, dtype=np.float64)
-        counts = _grid_counts(pts, bins_per_axis, bounding_box(pts))
-        marg1 = counts.sum(axis=1) >= min_count
-        marg2 = counts.sum(axis=0) >= min_count
-        return cls(
-            bins_per_axis=bins_per_axis,
-            occupancy=counts >= min_count,
-            marginal_occupancy=(marg1, marg2),
-            min_count=min_count,
-        )
-
-    def product_occupancy_fraction(self) -> float:
-        """Fraction of marginal-product cells that are occupied jointly."""
-        marg1, marg2 = self.marginal_occupancy
-        product = np.outer(marg1, marg2)
-        n_product = int(product.sum())
-        if n_product == 0:
-            return 0.0
-        return float(self.occupancy[product].mean())
-
-
-@dataclass(frozen=True)
 class AssignmentScores:
     """Functional-dependence scores for one coordinate assignment.
 
@@ -260,29 +241,26 @@ class AssignmentScores:
 class CoordRelationVerdict:
     """Outcome of the coordinate-wise-relation check.
 
-    ``verdict`` is ``coordinate-wise`` iff some assignment keeps all four of
-    its scores (two coordinates times two directions) at or below
+    ``verdict`` is ``coordinate-wise`` iff the best assignment keeps all four
+    of its scores (two coordinates times two directions) at or below
     ``threshold``.  ``monotonicity`` annotates each coordinate of the best
     assignment with the sign of its rank correlation ("increasing",
     "decreasing", or "non-monotone").
     """
 
-    verdict: str
     threshold: float
     best_assignment: tuple[int, int]
     best_max_score: float
     monotonicity: tuple[str, str]
     assignments: tuple[AssignmentScores, ...]
 
-    def __post_init__(self):
-        achievable = min(a.max_score for a in self.assignments)
-        expect = COORDINATE_WISE if achievable <= self.threshold else NOT_COORDINATE_WISE
-        if self.verdict != expect:
-            raise ValueError("verdict inconsistent with assignment scores")
-
     @property
     def is_coordinate_wise(self) -> bool:
-        return self.verdict == COORDINATE_WISE
+        return self.best_max_score <= self.threshold
+
+    @property
+    def verdict(self) -> str:
+        return COORDINATE_WISE if self.is_coordinate_wise else NOT_COORDINATE_WISE
 
 
 @dataclass(frozen=True)
@@ -342,7 +320,7 @@ def check_continuity(
     domain_box: ArrayLike,
     n_pairs: int = 1000,
     seed: int | ArrayLike = 0,
-    l_max: float = 100.0,
+    l_max: float = AuditSettings.l_max,
 ) -> tuple[bool, float]:
     """Scan for gross discontinuities of a planar map over a box.
 
@@ -472,8 +450,12 @@ def check_independent_support(D: Dataset, bins: int) -> tuple[bool, float]:
         to call empty cells empty with any confidence.
     """
     _require_samples(D.n, bins_support=bins)
-    grid = SupportGrid.from_points(D.points, bins_per_axis=bins, min_count=MIN_COUNT)
-    fraction = grid.product_occupancy_fraction()
+    if bins < 2:
+        raise ValueError(f"bins must be >= 2, got {bins}")
+    counts = _grid_counts(D.points, bins, bounding_box(D.points))
+    # marginal occupancy comes from the marginal counts, so it covers every occupied joint cell
+    product = np.outer(counts.sum(axis=1) >= MIN_COUNT, counts.sum(axis=0) >= MIN_COUNT)
+    fraction = float((counts[product] >= MIN_COUNT).mean())
     return fraction == 1.0, fraction
 
 
@@ -627,11 +609,6 @@ def _doubled_ranks(values: NDArray, order: NDArray[np.intp], distinct: bool) -> 
     return ranks
 
 
-def _average_ranks(values: NDArray) -> NDArray[np.float64]:
-    """1-based ranks of ``values``, tied values sharing their mean rank."""
-    return _doubled_ranks(values, *_sort_order(values)) / 2.0
-
-
 def _correlation(x: NDArray, y: NDArray) -> float:
     """Pearson's correlation, NaN when either input is constant.  Doubling both
     inputs scales each step exactly: doubled ranks give the bits of plain ones."""
@@ -639,18 +616,13 @@ def _correlation(x: NDArray, y: NDArray) -> float:
         return float(np.corrcoef(x, y)[0, 1])
 
 
-def rank_correlation(x: ArrayLike, y: ArrayLike) -> float:
-    """Spearman's rank correlation: Pearson's correlation of tie-averaged ranks,
-    NaN when either input is constant."""
-    return _correlation(*(_average_ranks(np.asarray(v, dtype=np.float64)) for v in (x, y)))
-
-
 def _monotonicity_note(rho: float) -> str:
     return "increasing" if rho >= 0.95 else "decreasing" if rho <= -0.95 else "non-monotone"
 
 
 def check_coordinatewise_relation(
-    Z: Dataset, Zp: Dataset, bins: int = 50, threshold: float = 0.01
+    Z: Dataset, Zp: Dataset, bins: int = AuditSettings.bins_relation,
+    threshold: float = AuditSettings.functional_threshold,
 ) -> CoordRelationVerdict:
     """Decide whether two paired representations are coordinate-wise related.
 
@@ -688,7 +660,6 @@ def check_coordinatewise_relation(
     ]
     best = min(scored, key=lambda a: a.max_score)
     return CoordRelationVerdict(
-        verdict=COORDINATE_WISE if best.max_score <= threshold else NOT_COORDINATE_WISE,
         threshold=threshold,
         best_assignment=best.perm,
         best_max_score=best.max_score,
@@ -714,29 +685,28 @@ def run_audit(A: Mixing2, p: MpaParams, n: int, seed: int, **options) -> AuditRe
 
     Draws ``n`` uniform latents, pushes them through the mixing and the
     swirl, and checks all premises before the coordinate-wise-relation
-    conclusion.  ``options`` are the keyword arguments of :func:`audit_pair`.
-    With a nondegenerate swirl the expected outcome is that all premises
-    pass, the alternate latents look uniform, and the conclusion is
-    ``not-coordinate-wise``: a certified counterexample.
+    conclusion.  ``options`` are the fields of :class:`AuditSettings`, checked
+    before anything is sampled.  With a nondegenerate swirl the expected
+    outcome is that all premises pass, the alternate latents look uniform,
+    and the conclusion is ``not-coordinate-wise``: a certified counterexample.
     """
+    settings = AuditSettings(**options)
     Z, X, Zp = generate(A, p, n, seed)
-    return audit_pair(Z, Zp, maps=(A, p, X), **options)
+    return audit_pair(Z, Zp, maps=(A, p, X), settings=settings)
 
 
 def _check_premises(
     Z: Dataset,
     Zp: Dataset,
     maps: tuple[Mixing2, MpaParams, Dataset] | None,
-    bins_support: int,
-    bins_uniformity: int,
-    l_max: float,
+    settings: AuditSettings,
 ) -> tuple[tuple[Premise, ...], float, dict]:
     """Every check of :func:`audit_pair` but the relation: its premises, the
     uniformity p-value of ``Z'``, and the parameters that name the maps."""
     if maps is None:
         note = {"note": "not-applicable: no analytic maps supplied"}
         map_premises = (
-            Premise("continuity", None, None, l_max, note),
+            Premise("continuity", None, None, settings.l_max, note),
             Premise("sigma-algebra", None, None, SIGMA_PROXY_TOL, note),
         )
         parameters = {"n": Z.n, "seed": None}
@@ -744,16 +714,16 @@ def _check_premises(
         A, p, X = maps
         x_box = bounding_box(X.points)
         f_pass, f_ratio = check_continuity(
-            lambda x: unmix(A, x), x_box, seed=[Z.seed, 1], l_max=l_max
+            lambda x: unmix(A, x), x_box, seed=[Z.seed, 1], l_max=settings.l_max
         )
         fp_pass, fp_ratio = check_continuity(
-            lambda x: mpa_forward(p, unmix(A, x)), x_box, seed=[Z.seed, 2], l_max=l_max
+            lambda x: mpa_forward(p, unmix(A, x)), x_box, seed=[Z.seed, 2], l_max=settings.l_max
         )
         sigma_pass, sigma_err = check_sigma_algebra_proxy(
             Z, Zp, lambda z: mpa_forward(p, z), lambda zp: mpa_inverse(p, zp)
         )
         map_premises = (
-            Premise("continuity", f_pass and fp_pass, max(f_ratio, fp_ratio), l_max),
+            Premise("continuity", f_pass and fp_pass, max(f_ratio, fp_ratio), settings.l_max),
             Premise("sigma-algebra", sigma_pass, sigma_err, SIGMA_PROXY_TOL),
         )
         parameters = {
@@ -770,8 +740,8 @@ def _check_premises(
     union_box = np.column_stack(
         [np.minimum(z_box[:, 0], zp_box[:, 0]), np.maximum(z_box[:, 1], zp_box[:, 1])]
     )
-    is_z, frac_z = check_independent_support(Z, bins_support)
-    is_zp, frac_zp = check_independent_support(Zp, bins_support)
+    is_z, frac_z = check_independent_support(Z, settings.bins_support)
+    is_zp, frac_zp = check_independent_support(Zp, settings.bins_support)
     premises = (
         *map_premises,
         Premise("compact-support", z_ok and zp_ok, support_overshoot(union_box, _SQUARE),
@@ -779,7 +749,7 @@ def _check_premises(
         Premise("independent-support-Z", is_z, frac_z, 1.0),
         Premise("independent-support-Zprime", is_zp, frac_zp, 1.0),
     )
-    return premises, check_uniformity(Zp, bins_uniformity), parameters
+    return premises, check_uniformity(Zp, settings.bins_uniformity), parameters
 
 
 def audit_pair(
@@ -787,12 +757,7 @@ def audit_pair(
     Zp: Dataset,
     *,
     maps: tuple[Mixing2, MpaParams, Dataset] | None = None,
-    bins_support: int = 10,
-    bins_uniformity: int = 10,
-    bins_relation: int = 50,
-    functional_threshold: float = 0.01,
-    alpha: float = 0.001,
-    l_max: float = 100.0,
+    settings: AuditSettings = AuditSettings(),
 ) -> AuditReport:
     """Check every premise and the conclusion on the paired datasets ``Z`` and ``Z'``.
 
@@ -802,7 +767,8 @@ def audit_pair(
     without them both are recorded unchecked (``passed=None``), so the
     report cannot certify.  The continuity sweeps are seeded from
     ``Z.seed``, so auditing the output of ``generate(A, p, n, seed)`` gives
-    exactly ``run_audit(A, p, n, seed)``.
+    exactly ``run_audit(A, p, n, seed)``.  ``settings`` holds the bins and
+    thresholds; a :class:`~swirlaudit.config.RunConfig` is one.
 
     The input is checked before the first check runs: unpaired clouds raise
     :class:`PairingError`, and an ``n`` below any floor of :data:`SAMPLE_FLOORS`
@@ -821,29 +787,27 @@ def audit_pair(
     """
     if Z.n != Zp.n:
         raise PairingError(f"row-count mismatch: {Z.n} vs {Zp.n}")
-    _require_samples(Z.n, bins_support=bins_support, bins_uniformity=bins_uniformity,
-                     bins_relation=bins_relation)
+    _require_samples(Z.n, **{key: getattr(settings, key) for _, key, _ in SAMPLE_FLOORS})
     from concurrent.futures import ThreadPoolExecutor  # here, so that importing stays fast
 
     with ThreadPoolExecutor(max_workers=1) as worker:
-        checked = worker.submit(_check_premises, Z, Zp, maps, bins_support, bins_uniformity,
-                                l_max)
-        conclusion = check_coordinatewise_relation(Z, Zp, bins=bins_relation,
-                                                   threshold=functional_threshold)
+        checked = worker.submit(_check_premises, Z, Zp, maps, settings)
+        conclusion = check_coordinatewise_relation(Z, Zp, bins=settings.bins_relation,
+                                                   threshold=settings.functional_threshold)
     premises, pvalue, parameters = checked.result()
     return AuditReport(
         premises=premises,
         uniformity_pvalue_zprime=pvalue,
-        uniformity_alpha=alpha,
+        uniformity_alpha=settings.alpha,
         conclusion=conclusion,
         parameters={
             **parameters,
-            "bins_support": bins_support,
-            "bins_uniformity": bins_uniformity,
-            "bins_relation": bins_relation,
+            "bins_support": settings.bins_support,
+            "bins_uniformity": settings.bins_uniformity,
+            "bins_relation": settings.bins_relation,
             "min_count": MIN_COUNT,
-            "functional_threshold": functional_threshold,
-            "alpha": alpha,
-            "l_max": l_max,
+            "functional_threshold": settings.functional_threshold,
+            "alpha": settings.alpha,
+            "l_max": settings.l_max,
         },
     )

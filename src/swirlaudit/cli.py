@@ -14,14 +14,14 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from swirlaudit import __version__
-from swirlaudit.audits import audit_pair, generate, sample_floor_misses
+from swirlaudit.audits import AuditSettings, audit_pair, generate, sample_floor_misses
 from swirlaudit.config import RunConfig, load_config
 from swirlaudit.errors import ConfigError, SwirlAuditError
 from swirlaudit.figures import render_scatter_svg, swirl_profile
@@ -94,25 +94,10 @@ def _check_sample_size(cfg: RunConfig) -> None:
     """
     problems = [
         f"n: must be >= {required} for {key} = {getattr(cfg, key)}, got {cfg.n}"
-        for _, key, required in sample_floor_misses(cfg.n, _audit_options(cfg))
+        for _, key, required in sample_floor_misses(cfg.n, vars(cfg))
     ]
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
-
-
-def _audit_options(cfg: RunConfig) -> dict:
-    """The audit's bins and thresholds from ``cfg``, all but ``l_max``.
-
-    These are also the audit parameters an external report lists; ``l_max``
-    bounds the continuity sweep, which external clouds do not get.
-    """
-    return {
-        "bins_support": cfg.bins_support,
-        "bins_uniformity": cfg.bins_uniformity,
-        "bins_relation": cfg.bins_relation,
-        "functional_threshold": cfg.functional_threshold,
-        "alpha": cfg.alpha,
-    }
 
 
 def _drop_stale_report(cfg: RunConfig) -> None:
@@ -204,7 +189,7 @@ def _cmd_run(cfg: RunConfig, render: bool) -> int:
     A, p = cfg.mixing2(), cfg.mpa_params()
     Z, X, Zp = generate(A, p, cfg.n, cfg.seed)
     with _emit_bundle(cfg, Z, X, Zp, render) as out:
-        report = audit_pair(Z, Zp, maps=(A, p, X), l_max=cfg.l_max, **_audit_options(cfg))
+        report = audit_pair(Z, Zp, maps=(A, p, X), settings=cfg)
     document = build_report(report, tool_version=__version__, config_dict=cfg.to_dict())
     write_report_json(out / "report.json", document)
     _print_summary(document)
@@ -227,12 +212,13 @@ def _cmd_audit_external(cfg: RunConfig, z_path: str, zp_path: str) -> int:
     _drop_stale_report(cfg)
     Z = load_external_cloud(z_path, LATENT_Z)
     Zp = load_external_cloud(zp_path, LATENT_ZPRIME)
-    options = _audit_options(cfg)
-    report = audit_pair(Z, Zp, l_max=cfg.l_max, **options)
+    report = audit_pair(Z, Zp, settings=cfg)
+    # l_max bounds the continuity sweep, which external clouds do not get
+    settings = {f.name: getattr(cfg, f.name) for f in fields(AuditSettings) if f.name != "l_max"}
     document = build_report(
         report,
         tool_version=__version__,
-        config_dict={"z_csv": str(z_path), "zprime_csv": str(zp_path), "n": Z.n, **options},
+        config_dict={"z_csv": str(z_path), "zprime_csv": str(zp_path), "n": Z.n, **settings},
     )
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -7,12 +7,13 @@ errors (fail closed).  Missing keys fall back to the documented defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from swirlaudit.audits import AuditSettings
 from swirlaudit.errors import ConfigError
 from swirlaudit.transforms import Mixing2, MpaParams
 
@@ -46,8 +47,8 @@ _KEY_TO_FIELD = {key: ("mixing" if key == "A" else key) for key in _PARSERS}
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters for one experiment run.
+class RunConfig(AuditSettings):
+    """Validated parameters for one experiment run, the audit's settings among them.
 
     ``mixing`` holds the four mixing-matrix entries row-major.  The
     ``degenerate_a`` flag cannot be set from a config file; it exists so the
@@ -60,16 +61,10 @@ class RunConfig:
     a: float = 3.6
     c: float = 0.9
     mixing: tuple[float, float, float, float] = (1.0, 0.5, 0.0, 1.0)
-    bins_support: int = 10
-    bins_uniformity: int = 10
-    bins_relation: int = 50
-    functional_threshold: float = 0.01
-    alpha: float = 0.001
-    l_max: float = 100.0
     output_dir: str = "out"
     degenerate_a: bool = field(default=False, compare=False)
 
-    def __post_init__(self):
+    def _problems(self) -> list[str]:
         problems = []
         if self.n < 1:
             problems.append(f"n: must be >= 1, got {self.n}")
@@ -85,19 +80,7 @@ class RunConfig:
             Mixing2.from_rows(*self.mixing)
         except ValueError as exc:
             problems.append(f"A: {exc}")
-        for name in ("bins_support", "bins_uniformity", "bins_relation"):
-            if getattr(self, name) < 2:
-                problems.append(f"{name}: must be >= 2, got {getattr(self, name)}")
-        if not 0.0 < self.functional_threshold < 1.0:
-            problems.append(
-                f"functional_threshold: must lie in (0, 1), got {self.functional_threshold}"
-            )
-        if not 0.0 < self.alpha < 1.0:
-            problems.append(f"alpha: must lie in (0, 1), got {self.alpha}")
-        if not self.l_max > 0.0:
-            problems.append(f"l_max: must be positive, got {self.l_max}")
-        if problems:
-            raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
+        return problems + super()._problems()
 
     def mixing2(self) -> Mixing2:
         return Mixing2.from_rows(*self.mixing)
@@ -108,10 +91,11 @@ class RunConfig:
         return MpaParams(a=self.a, c=self.c)
 
     def to_dict(self) -> dict:
+        """The fields in config-key order, as ``report.json`` lists them, then ``degenerate_a``."""
         out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
+        for name in (*_KEY_TO_FIELD.values(), "degenerate_a"):
+            value = getattr(self, name)
+            out[name] = list(value) if isinstance(value, tuple) else value
         return out
 
 

@@ -1,6 +1,7 @@
 """Tests for the premise checks and the coordinate-wise-relation verdict."""
 
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -19,10 +20,11 @@ from swirlaudit.audits import (
     COORDINATE_WISE,
     NOT_COORDINATE_WISE,
     AssignmentScores,
+    AuditSettings,
     CoordRelationVerdict,
-    SupportGrid,
-    _average_ranks,
     _chi2_sf,
+    _correlation,
+    _doubled_ranks,
     _sort_order,
     audit_pair,
     bounding_box,
@@ -35,10 +37,10 @@ from swirlaudit.audits import (
     min_samples_relation,
     min_samples_support,
     min_samples_uniformity,
-    rank_correlation,
     run_audit,
 )
 from swirlaudit.errors import (
+    ConfigError,
     InvalidDomainError,
     PairingError,
     UndersampledError,
@@ -198,9 +200,14 @@ def test_independent_support_undersampled():
 
 
 def test_support_grid_marginal_consistency():
-    grid = SupportGrid.from_points(sa.sample_uniform_disk(50_000, 3).points, 10, 5)
-    marg = np.outer(*grid.marginal_occupancy)
-    assert not np.any(grid.occupancy & ~marg)
+    # the disk's fraction against a histogram2d reference over its bounding box
+    D = sa.sample_uniform_disk(50_000, 3)
+    counts, _, _ = np.histogram2d(*D.points.T, bins=10, range=bounding_box(D.points).tolist())
+    product = np.outer(counts.sum(axis=1) >= 5, counts.sum(axis=0) >= 5)
+    assert not np.any((counts >= 5) & ~product)
+    ok, fraction = check_independent_support(D, 10)
+    assert not ok
+    assert fraction == (counts[product] >= 5).mean() < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +327,8 @@ def test_rank_correlation_matches_spearman(levels):
     if levels is not None:
         x, y = np.floor(x * levels), np.floor(y * levels)
     for a, b in ((x, y), (x, -y), (y, rng.permutation(x))):
-        assert abs(rank_correlation(a, b) - stats.spearmanr(a, b).statistic) <= 1e-12
+        rho = _correlation(*(_doubled_ranks(v, *_sort_order(v)) for v in (a, b)))
+        assert abs(rho - stats.spearmanr(a, b).statistic) <= 1e-12
 
 
 
@@ -330,7 +338,7 @@ def test_average_ranks_equal_rankdata_exactly(levels):
     x = np.random.default_rng(1).random(5000)
     if levels is not None:
         x = np.floor(x * levels)
-    assert np.array_equal(_average_ranks(x), stats.rankdata(x))
+    assert np.array_equal(_doubled_ranks(x, *_sort_order(x)) / 2.0, stats.rankdata(x))
 
 def test_undersampled_errors_report_the_shared_bounds():
     D = sa.sample_uniform_square(100, 0)
@@ -428,6 +436,30 @@ def test_run_audit_rejects_invalid_cutoff():
 def test_run_audit_attaches_check_name_to_errors():
     with pytest.raises(UndersampledError, match=r"\[independent-support\]"):
         run_audit(default_mixing(), default_swirl(), 2400, 42, bins_relation=10)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("bins_relation", 1),
+    ("functional_threshold", -1.0),
+    ("bins_uniformity", 1),
+    ("alpha", 1.5),
+    ("l_max", 0.0),
+])
+def test_invalid_settings_raise_config_error_before_sampling(monkeypatch, key, value):
+    Z, Zp = paired(n=20_000, seed=7)
+    sampled = []
+    original = audits.sample_uniform_square
+    for module in [m for k, m in sys.modules.items() if k.startswith("swirlaudit")]:
+        if getattr(module, "sample_uniform_square", None) is original:
+            monkeypatch.setattr(module, "sample_uniform_square",
+                                lambda *args: sampled.append(args) or original(*args))
+    calls = record_check_calls(monkeypatch)
+    message = rf"^invalid configuration:\n  {key}: must "
+    with pytest.raises(ConfigError, match=message):
+        run_audit(default_mixing(), default_swirl(), 20_000, 7, **{key: value})
+    with pytest.raises(ConfigError, match=message):
+        audit_pair(Z, Zp, settings=AuditSettings(**{key: value}))
+    assert sampled == [] and calls == []
 
 
 CHECKS = (
@@ -637,7 +669,6 @@ def reference_relation(Z, Zp, bins=50, threshold=0.01):
         scored.append(AssignmentScores(perm=perm, zprime_to_z=forward, z_to_zprime=reverse))
     best = min(scored, key=lambda a: a.max_score)
     return CoordRelationVerdict(
-        verdict=COORDINATE_WISE if best.max_score <= threshold else NOT_COORDINATE_WISE,
         threshold=threshold,
         best_assignment=best.perm,
         best_max_score=best.max_score,
@@ -766,17 +797,19 @@ def test_relation_notes_equal_rank_correlation_notes(zp):
     Zp = as_zprime(zp(Z.points))
     verdict = check_coordinatewise_relation(Z, Zp, bins=20)
     perm = verdict.best_assignment
-    assert verdict.monotonicity == tuple(
-        audits._monotonicity_note(rank_correlation(Zp.points[:, perm[j]], Z.points[:, j]))
-        for j in range(2)
-    )
-    # the notes' correlations of doubled int32 ranks carry the bits of Spearman's rho
-    for x, y in ((Zp.points[:, perm[j]], Z.points[:, j]) for j in range(2)):
-        rx, ry = (audits._doubled_ranks(v, *audits._sort_order(v)) for v in (x, y))
+    # the notes' correlations of doubled int32 ranks carry the bits of Pearson's
+    # correlation of rankdata's ranks, and Spearman's rho to rounding
+    for j in range(2):
+        x, y = Zp.points[:, perm[j]], Z.points[:, j]
+        rx, ry = (_doubled_ranks(v, *_sort_order(v)) for v in (x, y))
         assert rx.dtype == np.int32
-        assert np.array_equal(rx, 2 * _average_ranks(x))
-        rho = rank_correlation(x, y)
-        assert float(audits._correlation(rx, ry)).hex() == float(rho).hex()
+        assert np.array_equal(rx, 2 * stats.rankdata(x))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rho = float(np.corrcoef(stats.rankdata(x), stats.rankdata(y))[0, 1])
+        assert _correlation(rx, ry).hex() == rho.hex()
+        if not math.isnan(rho):
+            assert abs(rho - stats.spearmanr(x, y).statistic) <= 1e-12
+        assert verdict.monotonicity[j] == audits._monotonicity_note(rho)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.7e308])
@@ -788,7 +821,10 @@ def test_support_grid_rejects_a_non_finite_range_as_the_histogram_does(bad):
     with pytest.raises(ValueError), np.errstate(all="ignore"):
         np.histogram2d(pts[:, 0], pts[:, 1], bins=10, range=[tuple(b) for b in box])
     with pytest.raises(ValueError, match="not finite"), np.errstate(all="ignore"):
-        SupportGrid.from_points(pts, bins_per_axis=10, min_count=5)
+        audits._grid_counts(pts, 10, box)
+    if np.isfinite(bad):  # a dataset holds finite points only
+        with pytest.raises(ValueError, match="not finite"), np.errstate(all="ignore"):
+            check_independent_support(as_zprime(pts), 2)
 
 
 def test_grid_counts_refuse_cells_narrower_than_a_normal_float():

@@ -71,6 +71,37 @@ def test_run_invalid_config_exit_code(tmp_path, capsys):
     assert "c:" in capsys.readouterr().err
 
 
+def test_run_infinite_l_max_exits_3(tmp_path, capsys):
+    # an infinite bound would pass every continuity sweep
+    cfg = write_cfg(tmp_path, SMALL_CFG + "l_max = inf\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "error: invalid configuration:\n  l_max: must be positive and finite, got inf\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_parameters_keep_their_key_order(tmp_path):
+    settings = ["bins_support", "bins_uniformity", "bins_relation", "functional_threshold",
+                "alpha"]
+    out, ext = tmp_path / "out", tmp_path / "ext"
+    assert main(["run", "--config", write_cfg(tmp_path), "--out", str(out)]) == 0
+    assert list(read_json(out / "report.json")["parameters"]) == [
+        "n", "seed", "a", "c", "mixing", *settings, "l_max", "output_dir", "degenerate_a"
+    ]
+    assert main(["audit-external", str(out / "z.csv"), str(out / "zprime.csv"),
+                 "--out", str(ext)]) == 0
+    assert list(read_json(ext / "report.json")["parameters"]) == [
+        "z_csv", "zprime_csv", "n", *settings
+    ]
+    report = audits.run_audit(swirlaudit.Mixing2.from_rows(1.0, 0.5, 0.0, 1.0),
+                              swirlaudit.MpaParams(3.6, 0.9), 20_000, 7)
+    assert list(report.parameters) == [
+        "a", "c", "degenerate_a", "A", "n", "seed", *settings[:3], "min_count",
+        *settings[3:], "l_max",
+    ]
+
+
 def test_run_unwritable_output_dir(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["run", "--config", cfg, "--out", "/dev/null/out"]) == 4

@@ -43,6 +43,12 @@ def test_zero_rotation_rate_names_key(tmp_path):
         load_config(write(tmp_path, "a = 0\n"))
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_l_max_names_key(tmp_path, value):
+    with pytest.raises(ConfigError, match=f"l_max: must be positive and finite, got {value}"):
+        load_config(write(tmp_path, f"l_max = {value}\n"))
+
+
 def test_unknown_key_fails_closed(tmp_path):
     with pytest.raises(ConfigError, match="unknown key 'bins'"):
         load_config(write(tmp_path, "bins = 10\n"))
