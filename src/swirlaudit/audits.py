@@ -24,6 +24,7 @@ falsification audits, consistent-with rather than established-by samples.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,6 +34,8 @@ from numpy.typing import ArrayLike, NDArray
 from swirlaudit.errors import ConfigError, InvalidDomainError, PairingError, UndersampledError
 from swirlaudit.transforms import (
     BLOCK_ROWS,
+    HYPOT_FLOOR,
+    HYPOT_MARGIN,
     SIGMA_PROXY_TOL,
     Dataset,
     Mixing2,
@@ -106,18 +109,24 @@ class AuditSettings:
 
     def _problems(self) -> list[str]:
         """One message per invalid field, led by the field's name."""
-        problems = [f"{name}: must be >= 2, got {getattr(self, name)}"
-                    for name in ("bins_support", "bins_uniformity", "bins_relation")
-                    if getattr(self, name) < 2]
-        if not 0.0 < self.functional_threshold < 1.0:
-            problems.append(
-                f"functional_threshold: must lie in (0, 1), got {self.functional_threshold}"
-            )
-        if not 0.0 < self.alpha < 1.0:
-            problems.append(f"alpha: must lie in (0, 1), got {self.alpha}")
-        if not 0.0 < self.l_max < math.inf:
-            problems.append(f"l_max: must be positive and finite, got {self.l_max}")
+        problems = [problem for name in ("bins_support", "bins_uniformity", "bins_relation")
+                    if (problem := _bins_problem(name, getattr(self, name)))]
+        for name, rule, upper in (("functional_threshold", "must lie in (0, 1)", 1.0),
+                                  ("alpha", "must lie in (0, 1)", 1.0),
+                                  ("l_max", "must be positive and finite", math.inf)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                problems.append(f"{name}: must be a real number, got {value!r}")
+            elif not 0.0 < value < upper:
+                problems.append(f"{name}: {rule}, got {value}")
         return problems
+
+
+def _bins_problem(key: str, bins) -> str | None:
+    """Why ``bins`` is no bin count (an integer >= 2, not a bool), led by ``key``; else None."""
+    if isinstance(bins, bool) or not isinstance(bins, numbers.Integral):
+        return f"{key}: must be an integer, got {bins!r}"
+    return f"{key}: must be >= 2, got {bins}" if bins < 2 else None
 
 
 def min_samples_support(bins: int) -> int:
@@ -152,8 +161,11 @@ def sample_floor_misses(n: int, bins: dict) -> list[tuple[str, str, int]]:
 
 
 def _require_samples(n: int, **bins: int) -> None:
-    """Raise one :class:`UndersampledError` naming every floor ``n`` misses; its
-    ``required_n`` is the largest of them."""
+    """Raise ``ValueError`` for the first bins value that is no bin count, then one
+    :class:`UndersampledError` naming every floor ``n`` misses, the largest its ``required_n``."""
+    for key, value in bins.items():
+        if problem := _bins_problem(key, value):
+            raise ValueError(problem)
     misses = sample_floor_misses(n, bins)
     if misses:
         raise UndersampledError(
@@ -241,7 +253,8 @@ class AssignmentScores:
 class CoordRelationVerdict:
     """Outcome of the coordinate-wise-relation check.
 
-    ``verdict`` is ``coordinate-wise`` iff the best assignment keeps all four
+    The best assignment is the first of ``assignments`` with the smallest
+    ``max_score``.  ``verdict`` is ``coordinate-wise`` iff it keeps all four
     of its scores (two coordinates times two directions) at or below
     ``threshold``.  ``monotonicity`` annotates each coordinate of the best
     assignment with the sign of its rank correlation ("increasing",
@@ -249,10 +262,16 @@ class CoordRelationVerdict:
     """
 
     threshold: float
-    best_assignment: tuple[int, int]
-    best_max_score: float
     monotonicity: tuple[str, str]
     assignments: tuple[AssignmentScores, ...]
+
+    @property
+    def best_assignment(self) -> tuple[int, int]:
+        return min(self.assignments, key=lambda a: a.max_score).perm
+
+    @property
+    def best_max_score(self) -> float:
+        return min(a.max_score for a in self.assignments)
 
     @property
     def is_coordinate_wise(self) -> bool:
@@ -387,12 +406,10 @@ def _max_distance(f: Callable[[NDArray[np.float64]], ArrayLike], points: NDArray
     """Largest Euclidean distance ``np.hypot`` gives from ``f(points[i])`` to ``targets[i]``
     (NaN if any is), with ``f`` applied one block of rows at a time.
 
-    ``np.hypot`` calls libm once per value, so it is called only on the rows whose
-    squared distance comes within a relative 2**-40 of the block's largest: the
-    squares are within a few ulp of the exact ones and ``hypot`` within 1 ulp, so
-    every other row is shorter whatever either rounds to.  A block whose largest
-    square is NaN, infinite (overflow) or below 2**-960 (where subnormal squares
-    lose that precision) takes every row."""
+    ``np.hypot`` is called only on the rows whose squared distance comes within a
+    relative :data:`~swirlaudit.transforms.HYPOT_MARGIN` of the block's largest;
+    every other row is shorter.  A block whose largest square is NaN, infinite
+    (overflow) or below :data:`~swirlaudit.transforms.HYPOT_FLOOR` takes every row."""
     tops = []
     for start in range(0, len(points), BLOCK_ROWS):
         dx, dy = (np.asarray(f(points[start:start + BLOCK_ROWS]), dtype=np.float64)
@@ -400,8 +417,8 @@ def _max_distance(f: Callable[[NDArray[np.float64]], ArrayLike], points: NDArray
         with np.errstate(over="ignore"):
             sq = dx * dx + dy * dy
         top = sq.max()
-        if 2.0**-960 <= top < np.inf:
-            near = np.flatnonzero(sq >= top * (1.0 - 2.0**-40))
+        if HYPOT_FLOOR <= top < np.inf:
+            near = np.flatnonzero(sq >= top * (1.0 - HYPOT_MARGIN))
             dx, dy = dx[near], dy[near]
         tops.append(np.hypot(dx, dy).max())
     return np.max(tops)
@@ -425,14 +442,6 @@ def check_compact_support(
     return passed, box
 
 
-def support_overshoot(box: NDArray[np.float64], expected_box: ArrayLike) -> float:
-    """Largest excursion of a bounding box beyond the expected box (<= 0 inside)."""
-    expected = np.asarray(expected_box, dtype=np.float64)
-    return float(
-        max((expected[:, 0] - box[:, 0]).max(), (box[:, 1] - expected[:, 1]).max())
-    )
-
-
 def check_independent_support(D: Dataset, bins: int) -> tuple[bool, float]:
     """Test whether the joint support factorizes into its marginal supports.
 
@@ -450,8 +459,6 @@ def check_independent_support(D: Dataset, bins: int) -> tuple[bool, float]:
         to call empty cells empty with any confidence.
     """
     _require_samples(D.n, bins_support=bins)
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
     counts = _grid_counts(D.points, bins, bounding_box(D.points))
     # marginal occupancy comes from the marginal counts, so it covers every occupied joint cell
     product = np.outer(counts.sum(axis=1) >= MIN_COUNT, counts.sum(axis=0) >= MIN_COUNT)
@@ -661,8 +668,6 @@ def check_coordinatewise_relation(
     best = min(scored, key=lambda a: a.max_score)
     return CoordRelationVerdict(
         threshold=threshold,
-        best_assignment=best.perm,
-        best_max_score=best.max_score,
         monotonicity=tuple(_monotonicity_note(_correlation(zp_ranks[best.perm[j]], z_ranks[j]))
                            for j in range(2)),
         assignments=tuple(scored),
@@ -740,11 +745,13 @@ def _check_premises(
     union_box = np.column_stack(
         [np.minimum(z_box[:, 0], zp_box[:, 0]), np.maximum(z_box[:, 1], zp_box[:, 1])]
     )
+    square = np.array(_SQUARE)  # the statistic: how far the union box reaches past it
+    overshoot = max((square[:, 0] - union_box[:, 0]).max(), (union_box[:, 1] - square[:, 1]).max())
     is_z, frac_z = check_independent_support(Z, settings.bins_support)
     is_zp, frac_zp = check_independent_support(Zp, settings.bins_support)
     premises = (
         *map_premises,
-        Premise("compact-support", z_ok and zp_ok, support_overshoot(union_box, _SQUARE),
+        Premise("compact-support", z_ok and zp_ok, float(overshoot),
                 BOX_SLACK, {"box": union_box.tolist()}),
         Premise("independent-support-Z", is_z, frac_z, 1.0),
         Premise("independent-support-Zprime", is_zp, frac_zp, 1.0),

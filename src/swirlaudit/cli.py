@@ -190,7 +190,7 @@ def _cmd_run(cfg: RunConfig, render: bool) -> int:
     Z, X, Zp = generate(A, p, cfg.n, cfg.seed)
     with _emit_bundle(cfg, Z, X, Zp, render) as out:
         report = audit_pair(Z, Zp, maps=(A, p, X), settings=cfg)
-    document = build_report(report, tool_version=__version__, config_dict=cfg.to_dict())
+    document = build_report(replace(report, parameters=cfg.to_dict()), tool_version=__version__)
     write_report_json(out / "report.json", document)
     _print_summary(document)
     if report.counterexample_certified:
@@ -215,11 +215,8 @@ def _cmd_audit_external(cfg: RunConfig, z_path: str, zp_path: str) -> int:
     report = audit_pair(Z, Zp, settings=cfg)
     # l_max bounds the continuity sweep, which external clouds do not get
     settings = {f.name: getattr(cfg, f.name) for f in fields(AuditSettings) if f.name != "l_max"}
-    document = build_report(
-        report,
-        tool_version=__version__,
-        config_dict={"z_csv": str(z_path), "zprime_csv": str(zp_path), "n": Z.n, **settings},
-    )
+    parameters = {"z_csv": str(z_path), "zprime_csv": str(zp_path), "n": Z.n, **settings}
+    document = build_report(replace(report, parameters=parameters), tool_version=__version__)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_report_json(out / "report.json", document)

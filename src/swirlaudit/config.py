@@ -74,6 +74,8 @@ class RunConfig(AuditSettings):
             problems.append(f"c: must lie in the open interval (0, 1), got {self.c}")
         if self.a == 0.0 and not self.degenerate_a:
             problems.append("a: must be nonzero (a != 0)")
+        if self.degenerate_a and self.a != 0.0:
+            problems.append(f"a: degenerate_a requires a = 0, got {self.a}")
         if not (np.isfinite(self.a) and np.isfinite(self.c)):
             problems.append("a, c: must be finite")
         try:
@@ -86,9 +88,7 @@ class RunConfig(AuditSettings):
         return Mixing2.from_rows(*self.mixing)
 
     def mpa_params(self) -> MpaParams:
-        if self.degenerate_a:
-            return MpaParams.degenerate_fixture(self.c)
-        return MpaParams(a=self.a, c=self.c)
+        return MpaParams(a=self.a, c=self.c, degenerate=self.degenerate_a)
 
     def to_dict(self) -> dict:
         """The fields in config-key order, as ``report.json`` lists them, then ``degenerate_a``."""

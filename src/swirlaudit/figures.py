@@ -36,19 +36,6 @@ _PROFILE_DTYPE = np.dtype(
 )
 
 
-def angular_displacement(z: ArrayLike, zp: ArrayLike) -> NDArray[np.float64]:
-    """Signed angle from each point of ``z`` to its pair in ``zp``, in (-pi, pi].
-
-    Computed as ``atan2(z x z', z . z')``, which is exact zero for untouched
-    points (the cross product of a point with itself cancels exactly).
-    """
-    z = np.asarray(z, dtype=np.float64)
-    zp = np.asarray(zp, dtype=np.float64)
-    cross = z[:, 0] * zp[:, 1] - z[:, 1] * zp[:, 0]
-    dot = z[:, 0] * zp[:, 0] + z[:, 1] * zp[:, 1]
-    return np.arctan2(cross, dot)
-
-
 def _unwrap(p: NDArray[np.float64]) -> NDArray[np.float64]:
     """``np.unwrap(p)`` of a 1-D float64 array, bit for bit, with its phase correction
     worked out at the jumps alone.
@@ -76,7 +63,9 @@ def _unwrap(p: NDArray[np.float64]) -> NDArray[np.float64]:
 def swirl_profile(Z: Dataset, Zp: Dataset, bin_width: float = 0.01) -> NDArray:
     """Mean angular displacement between paired clouds, binned by radius.
 
-    Per-point displacements are unwrapped along decreasing radius (anchored
+    The displacement of a pair is the signed angle ``atan2(z x z', z . z')``, in
+    (-pi, pi]: exactly zero for an untouched point, whose cross product with
+    itself cancels.  These are unwrapped along decreasing radius (anchored
     at the outermost points, which a swirl leaves fixed), so rotations larger
     than half a turn near the origin are reported with their true magnitude
     rather than their wrapped remainder.
@@ -89,10 +78,11 @@ def swirl_profile(Z: Dataset, Zp: Dataset, bin_width: float = 0.01) -> NDArray:
         raise PairingError(f"datasets are not paired: {Z.n} vs {Zp.n} points")
     if not bin_width > 0.0:
         raise ValueError(f"bin width must be positive, got {bin_width}")
+    (z1, z2), (w1, w2) = Z.points.T, Zp.points.T
     radii = Z.radii()
     order = _sort_order(radii)[0][::-1]
     unwrapped = np.empty(Z.n)
-    unwrapped[order] = _unwrap(angular_displacement(Z.points, Zp.points)[order])
+    unwrapped[order] = _unwrap(np.arctan2(z1 * w2 - z2 * w1, z1 * w1 + z2 * w2)[order])
 
     n_bins = math.ceil(math.sqrt(2.0) / bin_width)
     edges = np.linspace(0.0, n_bins * bin_width, n_bins + 1)

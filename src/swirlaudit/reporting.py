@@ -43,10 +43,6 @@ CLOUD_HEADERS = ("z1,z2", "x1,x2")
 CSV_BLOCK_ROWS = 8192
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 # The cloud writer's "%.17g", a block of values at a time.
 #
 # For 1e-4 <= |v| < 2**53, "%.17g" writes v in fixed notation.  Its digits are
@@ -276,14 +272,11 @@ def load_external_cloud(path: str | Path, label: str) -> Dataset:
 
 
 def write_profile_csv(path: str | Path, profile: NDArray) -> None:
-    """Write a swirl-profile table (structured array) as CSV."""
+    """Write a swirl-profile table (structured array) as CSV, 17 significant digits
+    per real and ``nan`` for the means of an empty bin."""
     with atomic_write(path) as fh:
-        fh.write(",".join(profile.dtype.names) + "\n")
-        for row in profile:
-            fh.write(
-                f"{_fmt(row['r_lo'])},{_fmt(row['r_hi'])},{_fmt(row['r_mean'])},"
-                f"{int(row['count'])},{_fmt(row['mean_angle'])}\n"
-            )
+        np.savetxt(fh, profile, fmt=["%.17g"] * 3 + ["%d", "%.17g"], delimiter=",",
+                   header=",".join(profile.dtype.names), comments="")
 
 
 def _relation_dict(verdict: CoordRelationVerdict) -> dict:
@@ -309,16 +302,16 @@ def build_report(
     report: AuditReport,
     *,
     tool_version: str,
-    config_dict: dict | None = None,
     timestamp: str | None = None,
 ) -> dict:
-    """Assemble the machine-readable report document."""
+    """Assemble the machine-readable report document; its ``seed`` and
+    ``parameters`` are the report's."""
     return {
         "tool": "swirlaudit",
         "version": tool_version,
         "timestamp": timestamp or datetime.now(timezone.utc).isoformat(),
         "seed": report.parameters.get("seed"),
-        "parameters": config_dict if config_dict is not None else dict(report.parameters),
+        "parameters": dict(report.parameters),
         "premises": [
             {"name": p.name, "pass": p.passed, "statistic": p.statistic,
              "threshold": p.threshold, **p.detail}

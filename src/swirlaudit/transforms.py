@@ -74,6 +74,14 @@ _ROUND_TRIP_FACTOR = 8
 # enough that a block's temporaries stay in cache.
 BLOCK_ROWS = 16384
 
+# np.hypot calls libm once per value, so the swirl's cutoff and the sigma-algebra
+# premise's largest distance call it only where x*x + y*y cannot decide: squares
+# are within a few ulp of the exact ones and hypot within 1 ulp, so a square past a
+# bound by more than a relative HYPOT_MARGIN decides its row whatever either rounds
+# to.  Below HYPOT_FLOOR, subnormal squares lose that precision.
+HYPOT_MARGIN = 2.0**-40
+HYPOT_FLOOR = 2.0**-960
+
 
 def _as_points(z: ArrayLike, *, what: str = "point") -> NDArray[np.float64]:
     """Coerce to a float64 array with trailing axis of length 2."""
@@ -125,11 +133,6 @@ class MpaParams:
         """Identity swirl (``a = 0``); a negative control for audits."""
         return cls(a=0.0, c=c, degenerate=True)
 
-    def rotation_angle(self, radius: ArrayLike) -> NDArray[np.float64]:
-        """Rotation angle applied at the given radii: ``a*(r-c)`` inside ``c``, else 0."""
-        r = np.asarray(radius, dtype=np.float64)
-        return np.where(r <= self.c, self.a * (r - self.c), 0.0)
-
 
 @dataclass(frozen=True)
 class Mixing2:
@@ -176,10 +179,6 @@ class Mixing2:
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "det", det)
         object.__setattr__(self, "inverse", inv)
-
-    @classmethod
-    def identity(cls) -> "Mixing2":
-        return cls(np.eye(2))
 
     @classmethod
     def from_rows(cls, a11: float, a12: float, a21: float, a22: float) -> "Mixing2":
@@ -255,8 +254,8 @@ def sample_uniform_square(n: int, seed: int) -> Dataset:
     return Dataset(points=pts, label=LATENT_Z, seed=seed)
 
 
-def sample_uniform_disk(n: int, seed: int, radius: float = 1.0) -> Dataset:
-    """Draw ``n`` i.i.d. points uniformly from the disk of the given radius.
+def sample_uniform_disk(n: int, seed: int) -> Dataset:
+    """Draw ``n`` i.i.d. points uniformly from the unit disk.
 
     The disk is not a product of its marginal supports, which makes this the
     canonical negative fixture for the independent-support check.
@@ -264,7 +263,7 @@ def sample_uniform_disk(n: int, seed: int, radius: float = 1.0) -> Dataset:
     if n < 1:
         raise EmptyDatasetError(f"cannot sample an empty dataset (n = {n})")
     u = _rng(seed).random((int(n), 2))
-    r = radius * np.sqrt(u[:, 0])
+    r = np.sqrt(u[:, 0])
     phi = 2.0 * np.pi * u[:, 1]
     pts = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
     return Dataset(points=pts, label=LATENT_Z, seed=seed)
@@ -302,7 +301,7 @@ def mpa_forward(p: MpaParams, z: ArrayLike) -> NDArray[np.float64]:
     for start in range(0, len(rows), BLOCK_ROWS):
         block = rows[start:start + BLOCK_ROWS]
         inside, r = _inside_cutoff(block[:, 0], block[:, 1], p.c)
-        theta = p.rotation_angle(r)
+        theta = p.a * (r - p.c)
         cos_t, sin_t = np.cos(theta), np.sin(theta)
         x, y = block[inside, 0], block[inside, 1]
         block[inside, 0] = cos_t * x - sin_t * y
@@ -314,14 +313,12 @@ def _inside_cutoff(x: NDArray[np.float64], y: NDArray[np.float64],
                    c: float) -> tuple[NDArray[np.intp], NDArray[np.float64]]:
     """The rows with ``np.hypot(x, y) <= c``, and their radii.
 
-    ``np.hypot`` calls libm once per value, so it is called only on the rows with
-    ``x*x + y*y <= c*c*(1 + 2**-40)``, or below 2**-960, where subnormal squares
-    lose that precision.  The squares are within a few ulp of the exact ones and
-    ``hypot`` within 1 ulp, so every other row is outside whatever either rounds
-    to.  Rows with a NaN or an infinity are outside, as ``hypot`` has them.
+    ``np.hypot`` is called only on the rows with ``x*x + y*y`` at most
+    ``c*c*(1 + HYPOT_MARGIN)`` or :data:`HYPOT_FLOOR`; every other row is outside.
+    Rows with a NaN or an infinity are outside, as ``hypot`` has them.
     """
     with np.errstate(over="ignore"):
-        near = np.flatnonzero(x * x + y * y <= max(c * c * (1.0 + 2.0**-40), 2.0**-960))
+        near = np.flatnonzero(x * x + y * y <= max(c * c * (1.0 + HYPOT_MARGIN), HYPOT_FLOOR))
     r = np.hypot(x[near], y[near])
     keep = r <= c
     return near[keep], r[keep]

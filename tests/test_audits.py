@@ -444,6 +444,9 @@ def test_run_audit_attaches_check_name_to_errors():
     ("bins_uniformity", 1),
     ("alpha", 1.5),
     ("l_max", 0.0),
+    ("bins_relation", 20.5),
+    ("bins_support", 10.0),
+    ("alpha", "0.1"),
 ])
 def test_invalid_settings_raise_config_error_before_sampling(monkeypatch, key, value):
     Z, Zp = paired(n=20_000, seed=7)
@@ -460,6 +463,29 @@ def test_invalid_settings_raise_config_error_before_sampling(monkeypatch, key, v
     with pytest.raises(ConfigError, match=message):
         audit_pair(Z, Zp, settings=AuditSettings(**{key: value}))
     assert sampled == [] and calls == []
+
+
+BINNED_CHECKS = {  # each binned check by the setting that holds its bins
+    "bins_support": lambda Z, Zp, bins: check_independent_support(Z, bins),
+    "bins_uniformity": lambda Z, Zp, bins: check_uniformity(Zp, bins),
+    "bins_relation": lambda Z, Zp, bins: check_coordinatewise_relation(Z, Zp, bins=bins),
+}
+
+
+@pytest.mark.parametrize("bins", [0, 1, 2.5, True])
+@pytest.mark.parametrize("key", BINNED_CHECKS)
+def test_binned_checks_refuse_what_is_no_bin_count(key, bins):
+    # 0 bins would divide by zero, and 1 uniformity bin gives p = 1 for any cloud
+    Z, Zp = paired(n=20_000, seed=7)
+    with pytest.raises(ValueError, match=rf"^{key}: must be "):
+        BINNED_CHECKS[key](Z, Zp, bins)
+
+
+@pytest.mark.parametrize("key", BINNED_CHECKS)
+def test_binned_checks_accept_numpy_integer_bins(key):
+    Z, Zp = paired(n=20_000, seed=7)
+    assert BINNED_CHECKS[key](Z, Zp, np.int64(10)) == BINNED_CHECKS[key](Z, Zp, 10)
+    assert getattr(AuditSettings(**{key: np.int64(10)}), key) == 10
 
 
 CHECKS = (
@@ -670,8 +696,6 @@ def reference_relation(Z, Zp, bins=50, threshold=0.01):
     best = min(scored, key=lambda a: a.max_score)
     return CoordRelationVerdict(
         threshold=threshold,
-        best_assignment=best.perm,
-        best_max_score=best.max_score,
         monotonicity=tuple(
             _reference_note(Zp.points[:, best.perm[j]], Z.points[:, j]) for j in range(2)
         ),

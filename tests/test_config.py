@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from swirlaudit.config import RunConfig, load_config
 from swirlaudit.errors import ConfigError
-from swirlaudit.transforms import Mixing2
+from swirlaudit.transforms import Mixing2, MpaParams
 
 
 def write(tmp_path, text):
@@ -79,6 +79,14 @@ def test_all_violations_reported_together(tmp_path):
         load_config(write(tmp_path, "c = 2\nalpha = 3\nn = 0\n"))
     message = str(exc.value)
     assert "c:" in message and "alpha:" in message and "n:" in message
+
+
+def test_degenerate_flag_requires_zero_rate():
+    # the audit would run the identity swirl while the report's parameters say a = 3.6
+    with pytest.raises(ConfigError, match=r"a: degenerate_a requires a = 0, got 3.6"):
+        RunConfig(degenerate_a=True)
+    cfg = RunConfig(degenerate_a=True, a=0.0)
+    assert cfg.mpa_params() == MpaParams.degenerate_fixture(cfg.c)
 
 
 def test_degenerate_flag_not_a_config_key(tmp_path):

@@ -192,12 +192,27 @@ def test_profile_matches_rotation_law(tmp_path):
     assert len(lines) == len(profile) + 1
 
 
+@pytest.mark.parametrize("n", [100, 100_000])  # at n = 100 most bins are empty: nan means
+def test_profile_csv_bytes_match_per_row_reference(tmp_path, n):
+    Z = sa.sample_uniform_square(n, 7)
+    _, Zp = sa.apply_pipeline(sa.Mixing2.from_rows(1.0, 0.5, 0.0, 1.0), sa.MpaParams(3.6, 0.9), Z)
+    profile = swirl_profile(Z, Zp)
+    path = tmp_path / "profile.csv"
+    write_profile_csv(path, profile)
+    expected = "r_lo,r_hi,r_mean,count,mean_angle\n" + "".join(
+        f"{r_lo:.17g},{r_hi:.17g},{r_mean:.17g},{count},{mean_angle:.17g}\n"
+        for r_lo, r_hi, r_mean, count, mean_angle in profile.tolist()
+    )
+    assert path.read_bytes() == expected.encode()
+    assert (n == 100) == ("nan" in expected)
+
+
 def test_profile_unwraps_large_rotations():
     # near the origin the rotation exceeds half a turn; the unwrapped profile
     # must report ~ -a*c, not its wrapped remainder
     p = sa.MpaParams(3.6, 0.9)
     Z = sa.sample_uniform_square(200_000, 8)
-    _, Zp = sa.apply_pipeline(sa.Mixing2.identity(), p, Z)
+    _, Zp = sa.apply_pipeline(sa.Mixing2(np.eye(2)), p, Z)
     profile = swirl_profile(Z, Zp)
     deep = profile[(profile["r_hi"] <= 0.02) & (profile["count"] > 0)]
     assert deep.size > 0
@@ -207,7 +222,8 @@ def test_profile_unwraps_large_rotations():
 def reference_profile(Z, Zp, bin_width=0.01):
     """The swirl profile through numpy's stable argsort, digitize and unwrap."""
     radii = Z.radii()
-    wrapped = figures.angular_displacement(Z.points, Zp.points)
+    (z1, z2), (w1, w2) = Z.points.T, Zp.points.T
+    wrapped = np.arctan2(z1 * w2 - z2 * w1, z1 * w1 + z2 * w2)
     order = np.argsort(radii, kind="stable")[::-1]
     unwrapped = np.empty_like(wrapped)
     unwrapped[order] = np.unwrap(wrapped[order])
