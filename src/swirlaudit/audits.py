@@ -41,6 +41,7 @@ from swirlaudit.transforms import (
     Mixing2,
     MpaParams,
     apply_pipeline,
+    integer_problem,
     mpa_forward,
     mpa_inverse,
     sample_uniform_square,
@@ -110,7 +111,7 @@ class AuditSettings:
     def _problems(self) -> list[str]:
         """One message per invalid field, led by the field's name."""
         problems = [problem for name in ("bins_support", "bins_uniformity", "bins_relation")
-                    if (problem := _bins_problem(name, getattr(self, name)))]
+                    if (problem := integer_problem(name, getattr(self, name), 2))]
         for name, rule, upper in (("functional_threshold", "must lie in (0, 1)", 1.0),
                                   ("alpha", "must lie in (0, 1)", 1.0),
                                   ("l_max", "must be positive and finite", math.inf)):
@@ -120,13 +121,6 @@ class AuditSettings:
             elif not 0.0 < value < upper:
                 problems.append(f"{name}: {rule}, got {value}")
         return problems
-
-
-def _bins_problem(key: str, bins) -> str | None:
-    """Why ``bins`` is no bin count (an integer >= 2, not a bool), led by ``key``; else None."""
-    if isinstance(bins, bool) or not isinstance(bins, numbers.Integral):
-        return f"{key}: must be an integer, got {bins!r}"
-    return f"{key}: must be >= 2, got {bins}" if bins < 2 else None
 
 
 def min_samples_support(bins: int) -> int:
@@ -164,7 +158,7 @@ def _require_samples(n: int, **bins: int) -> None:
     """Raise ``ValueError`` for the first bins value that is no bin count, then one
     :class:`UndersampledError` naming every floor ``n`` misses, the largest its ``required_n``."""
     for key, value in bins.items():
-        if problem := _bins_problem(key, value):
+        if problem := integer_problem(key, value, 2):
             raise ValueError(problem)
     misses = sample_floor_misses(n, bins)
     if misses:
@@ -173,6 +167,12 @@ def _require_samples(n: int, **bins: int) -> None:
                         for check, key, required in misses),
             required_n=max(required for _, _, required in misses),
         )
+
+
+def _require_paired(Z: Dataset, Zp: Dataset) -> None:
+    """Raise :class:`PairingError` unless ``Z`` and ``Zp`` have the same number of rows."""
+    if Z.n != Zp.n:
+        raise PairingError(f"row-count mismatch: {Z.n} vs {Zp.n}")
 
 
 def bounding_box(points: ArrayLike) -> NDArray[np.float64]:
@@ -394,8 +394,7 @@ def check_sigma_algebra_proxy(
     -------
     (passed, max_error)
     """
-    if Z.n != Zp.n:
-        raise PairingError(f"datasets are not paired: {Z.n} vs {Zp.n} points")
+    _require_paired(Z, Zp)
     max_err = float(max(_max_distance(fwd, Z.points, Zp.points),
                         _max_distance(inv, Zp.points, Z.points)))
     return max_err < SIGMA_PROXY_TOL, max_err
@@ -650,8 +649,7 @@ def check_coordinatewise_relation(
     UndersampledError
         If ``n < min_samples_relation(bins)``.
     """
-    if Z.n != Zp.n:
-        raise PairingError(f"datasets are not paired: {Z.n} vs {Zp.n} points")
+    _require_paired(Z, Zp)
     _require_samples(Z.n, bins_relation=bins)
     # to_z[k][j] bins Z'_k and scores Z_j; to_zp[j][k] bins Z_j and scores Z'_k.  Each
     # column is sorted once, for its scores and the notes' ranks, one order alive at a time.
@@ -792,8 +790,7 @@ def audit_pair(
     before this function returns or raises, so a process that forks around the
     audit (the CLI's cloud writers) never forks with a live thread.
     """
-    if Z.n != Zp.n:
-        raise PairingError(f"row-count mismatch: {Z.n} vs {Zp.n}")
+    _require_paired(Z, Zp)
     _require_samples(Z.n, **{key: getattr(settings, key) for _, key, _ in SAMPLE_FLOORS})
     from concurrent.futures import ThreadPoolExecutor  # here, so that importing stays fast
 

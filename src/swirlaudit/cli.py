@@ -45,7 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key = value config file")
     common.add_argument("--out", metavar="DIR", help="output directory (overrides config)")
-    common.add_argument("--seed", type=int, metavar="U64", help="seed (overrides config)")
+    sampled = argparse.ArgumentParser(add_help=False, parents=[common])
+    sampled.add_argument("--seed", type=int, metavar="U64", help="seed (overrides config)")
+    sampled.add_argument("--render", action="store_true",
+                         help="also emit SVG scatters of the point clouds")
 
     parser = argparse.ArgumentParser(
         prog="swirlaudit",
@@ -55,16 +58,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"swirlaudit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", parents=[common],
+    run_p = sub.add_parser("run", parents=[sampled],
                            help="run the pipeline plus the full audit")
-    run_p.add_argument("--render", action="store_true",
-                       help="also emit SVG scatters of the point clouds")
     run_p.add_argument("--degenerate-a", action="store_true", help=argparse.SUPPRESS)
-
-    fig_p = sub.add_parser("figures", parents=[common],
-                           help="emit point clouds and the swirl profile")
-    fig_p.add_argument("--render", action="store_true",
-                       help="also emit SVG scatters of the point clouds")
+    sub.add_parser("figures", parents=[sampled], help="emit point clouds and the swirl profile")
 
     ext_p = sub.add_parser("audit-external", parents=[common],
                            help="audit two user-supplied paired point clouds")
@@ -76,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _effective_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["output_dir"] = args.out
@@ -101,7 +98,7 @@ def _check_sample_size(cfg: RunConfig) -> None:
 
 
 def _drop_stale_report(cfg: RunConfig) -> None:
-    """Remove an earlier report, so a command that fails leaves no verdict behind."""
+    """Remove an earlier report, so that none is left beside outputs it does not describe."""
     (Path(cfg.output_dir) / "report.json").unlink(missing_ok=True)
 
 
@@ -166,7 +163,11 @@ def _emit_bundle(cfg: RunConfig, Z, X, Zp, render: bool) -> Iterator[Path]:
         raise OSError(f"could not write {', '.join(failed)}")
 
 
-def _print_summary(document: dict) -> None:
+def _write_report(out: Path, report, parameters: dict) -> None:
+    """Write ``report`` with ``parameters`` to ``out/report.json`` and print its summary."""
+    document = build_report(replace(report, parameters=parameters), tool_version=__version__)
+    out.mkdir(parents=True, exist_ok=True)
+    write_report_json(out / "report.json", document)
     for entry in document["premises"]:
         status = {True: "PASS", False: "FAIL", None: "SKIPPED"}[entry["pass"]]
         print(f"premise {entry['name']:28s} {status}")
@@ -190,9 +191,7 @@ def _cmd_run(cfg: RunConfig, render: bool) -> int:
     Z, X, Zp = generate(A, p, cfg.n, cfg.seed)
     with _emit_bundle(cfg, Z, X, Zp, render) as out:
         report = audit_pair(Z, Zp, maps=(A, p, X), settings=cfg)
-    document = build_report(replace(report, parameters=cfg.to_dict()), tool_version=__version__)
-    write_report_json(out / "report.json", document)
-    _print_summary(document)
+    _write_report(out, report, cfg.to_dict())
     if report.counterexample_certified:
         return EXIT_OK
     category = _not_certified_category(report, cfg.degenerate_a)
@@ -201,6 +200,7 @@ def _cmd_run(cfg: RunConfig, render: bool) -> int:
 
 
 def _cmd_figures(cfg: RunConfig, render: bool) -> int:
+    _drop_stale_report(cfg)
     Z, X, Zp = generate(cfg.mixing2(), cfg.mpa_params(), cfg.n, cfg.seed)
     with _emit_bundle(cfg, Z, X, Zp, render) as out:
         pass  # no audit: the bundle is all that figures makes
@@ -216,23 +216,14 @@ def _cmd_audit_external(cfg: RunConfig, z_path: str, zp_path: str) -> int:
     # l_max bounds the continuity sweep, which external clouds do not get
     settings = {f.name: getattr(cfg, f.name) for f in fields(AuditSettings) if f.name != "l_max"}
     parameters = {"z_csv": str(z_path), "zprime_csv": str(zp_path), "n": Z.n, **settings}
-    document = build_report(replace(report, parameters=parameters), tool_version=__version__)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_report_json(out / "report.json", document)
-    _print_summary(document)
+    _write_report(Path(cfg.output_dir), report, parameters)
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _effective_config(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         if args.command == "run":
             return _cmd_run(cfg, render=args.render)
         if args.command == "figures":

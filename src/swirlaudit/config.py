@@ -11,11 +11,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from swirlaudit.audits import AuditSettings
 from swirlaudit.errors import ConfigError
-from swirlaudit.transforms import Mixing2, MpaParams
+from swirlaudit.transforms import Mixing2, MpaParams, integer_problem, swirl_problems
 
 __all__ = ["RunConfig", "load_config"]
 
@@ -65,19 +63,9 @@ class RunConfig(AuditSettings):
     degenerate_a: bool = field(default=False, compare=False)
 
     def _problems(self) -> list[str]:
-        problems = []
-        if self.n < 1:
-            problems.append(f"n: must be >= 1, got {self.n}")
-        if self.seed < 0:
-            problems.append(f"seed: must be a nonnegative integer, got {self.seed}")
-        if not 0.0 < self.c < 1.0:
-            problems.append(f"c: must lie in the open interval (0, 1), got {self.c}")
-        if self.a == 0.0 and not self.degenerate_a:
-            problems.append("a: must be nonzero (a != 0)")
-        if self.degenerate_a and self.a != 0.0:
-            problems.append(f"a: degenerate_a requires a = 0, got {self.a}")
-        if not (np.isfinite(self.a) and np.isfinite(self.c)):
-            problems.append("a, c: must be finite")
+        problems = [problem for key, lowest in (("n", 1), ("seed", 0))
+                    if (problem := integer_problem(key, getattr(self, key), lowest))]
+        problems += swirl_problems(self.a, self.c, self.degenerate_a)
         try:
             Mixing2.from_rows(*self.mixing)
         except ValueError as exc:

@@ -15,8 +15,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from swirlaudit._atomic import atomic_write
-from swirlaudit.audits import _digitize, _sort_order
-from swirlaudit.errors import PairingError
+from swirlaudit.audits import _digitize, _require_paired, _sort_order
 from swirlaudit.transforms import Dataset
 
 __all__ = ["swirl_profile", "render_scatter_svg"]
@@ -74,8 +73,7 @@ def swirl_profile(Z: Dataset, Zp: Dataset, bin_width: float = 0.01) -> NDArray:
     mean_angle`` covering radii from 0 to just past ``sqrt(2)``; empty bins
     carry ``count = 0`` and NaN means.
     """
-    if Z.n != Zp.n:
-        raise PairingError(f"datasets are not paired: {Z.n} vs {Zp.n} points")
+    _require_paired(Z, Zp)
     if not bin_width > 0.0:
         raise ValueError(f"bin width must be positive, got {bin_width}")
     (z1, z2), (w1, w2) = Z.points.T, Zp.points.T

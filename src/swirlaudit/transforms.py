@@ -14,6 +14,7 @@ everything here is safe to evaluate in parallel.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -95,6 +96,30 @@ def _as_points(z: ArrayLike, *, what: str = "point") -> NDArray[np.float64]:
     return arr
 
 
+def integer_problem(key: str, value, lowest: int) -> str | None:
+    """Why ``value`` is no integer ``>= lowest`` (a bool is none), led by ``key``; else None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        return f"{key}: must be an integer, got {value!r}"
+    return f"{key}: must be >= {lowest}, got {value}" if value < lowest else None
+
+
+def swirl_problems(a, c, degenerate: bool) -> list[str]:
+    """One message per rule that the swirl's ``a`` and ``c`` break, led by the key it names."""
+    problems = [f"{key}: must be a real number, got {value!r}"
+                for key, value in (("a", a), ("c", c)) if not isinstance(value, numbers.Real)]
+    if problems:
+        return problems
+    if not 0.0 < c < 1.0:
+        problems.append(f"c: must lie in the open interval (0, 1), got {c}")
+    if a == 0.0 and not degenerate:
+        problems.append("a: must be nonzero (a != 0)")
+    if degenerate and a != 0.0:
+        problems.append(f"a: degenerate_a requires a = 0, got {a}")
+    if not (np.isfinite(a) and np.isfinite(c)):
+        problems.append("a, c: must be finite")
+    return problems
+
+
 @dataclass(frozen=True)
 class MpaParams:
     """Parameters of the radius-dependent rotation ("swirl").
@@ -119,14 +144,9 @@ class MpaParams:
     degenerate: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.c)):
-            raise ValueError("swirl parameters must be finite")
-        if not 0.0 < self.c < 1.0:
-            raise ValueError(f"c must lie in the open interval (0, 1), got {self.c}")
-        if self.a == 0.0 and not self.degenerate:
-            raise ValueError("a must be nonzero (a = 0 only via degenerate_fixture)")
-        if self.degenerate and self.a != 0.0:
-            raise ValueError("degenerate fixture requires a = 0")
+        problems = swirl_problems(self.a, self.c, self.degenerate)
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @classmethod
     def degenerate_fixture(cls, c: float = 0.9) -> "MpaParams":
@@ -208,19 +228,17 @@ class Dataset:
     n: int = field(init=False)
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2:
+        pts = _as_points(self.points, what="dataset").copy()
+        if pts.ndim != 2:
             raise InvalidPointError(f"dataset points must have shape (n, 2), got {pts.shape}")
         if pts.shape[0] == 0:
             raise EmptyDatasetError("dataset must contain at least one point (n >= 1)")
-        if not np.all(np.isfinite(pts)):
-            raise InvalidPointError("dataset contains NaN or infinite coordinates")
         if self.label not in DATASET_LABELS:
             raise LabelMismatchError(
                 f"unknown dataset label {self.label!r}; expected one of {sorted(DATASET_LABELS)}"
             )
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if problem := integer_problem("seed", self.seed, 0):
+            raise ValueError(problem)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "seed", int(self.seed))

@@ -45,6 +45,7 @@ from swirlaudit.errors import (
     PairingError,
     UndersampledError,
 )
+from swirlaudit.figures import swirl_profile
 from swirlaudit.transforms import LATENT_Z, LATENT_ZPRIME, Dataset
 
 SQUARE = np.array([[-1.0, 1.0], [-1.0, 1.0]])
@@ -109,6 +110,13 @@ def test_continuity_rejects_degenerate_box():
         check_continuity(lambda z: z, np.array([[0.0, 0.0], [-1.0, 1.0]]))
     with pytest.raises(ValueError):
         check_continuity(lambda z: z, SQUARE, n_pairs=10)
+
+
+@pytest.mark.parametrize("box", [[[-1.0, np.inf], [-1.0, 1.0]], [[-1.0, 1.0], [np.nan, 1.0]],
+                                 [[-1.0, 1.0]]])
+def test_continuity_refuses_a_box_that_is_not_finite_and_2x2(box):
+    with pytest.raises(InvalidDomainError):
+        check_continuity(lambda z: z, np.array(box))
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +529,18 @@ def test_audit_pair_rejects_unpaired_clouds_before_any_check(monkeypatch):
     audit_pair(Z, as_zprime(Z.points))
     assert {name for name, _ in calls} == set(CHECKS) - {"check_continuity",
                                                          "check_sigma_algebra_proxy"}
+
+
+@pytest.mark.parametrize("paired_call", [
+    lambda Z, Zp: audit_pair(Z, Zp),
+    lambda Z, Zp: check_sigma_algebra_proxy(Z, Zp, lambda z: z, lambda z: z),
+    lambda Z, Zp: check_coordinatewise_relation(Z, Zp),
+    lambda Z, Zp: swirl_profile(Z, Zp),
+], ids=["audit_pair", "sigma-algebra", "relation", "swirl_profile"])
+def test_every_paired_call_refuses_unpaired_clouds_alike(paired_call):
+    Z = sa.sample_uniform_square(20_000, 1)
+    with pytest.raises(PairingError, match=r"^row-count mismatch: 20000 vs 19999$"):
+        paired_call(Z, as_zprime(Z.points[:-1]))
 
 
 def test_audit_pair_names_every_missed_floor_in_one_error(monkeypatch):

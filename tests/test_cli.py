@@ -65,6 +65,18 @@ def test_run_degenerate_fixture_not_certified(tmp_path, capsys):
     assert report["counterexample_certified"] is False
 
 
+@pytest.mark.parametrize("setting, category", [
+    ("l_max = 1", "premise-failure"),  # the swirl's continuity ratio is ~4
+    ("alpha = 0.999999", "uniformity-failure"),
+])
+def test_run_not_certified_names_its_category(tmp_path, capsys, setting, category):
+    cfg = write_cfg(tmp_path, f"{SMALL_CFG}{setting}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"not certified: {category}\n"
+    assert read_json(out / "report.json")["counterexample_certified"] is False
+
+
 def test_run_invalid_config_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c = 1.5\n")
     assert main(["run", "--config", cfg]) == 3
@@ -267,6 +279,22 @@ def test_seed_flag_overrides_config(tmp_path):
     za, _ = read_cloud_csv(out_a / "z.csv")
     zb, _ = read_cloud_csv(out_b / "z.csv")
     assert not np.array_equal(za, zb)
+
+
+def test_figures_removes_a_report_its_clouds_do_not_match(tmp_path):
+    cfg = write_cfg(tmp_path, "n = 10000\nseed = 1\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["figures", "--config", cfg, "--out", str(out), "--seed", "2"]) == 0
+    assert not (out / "report.json").exists()
+
+
+def test_audit_external_takes_no_seed(tmp_path, capsys):
+    # the clouds are read, not sampled, so a seed would be accepted and ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["audit-external", "z.csv", "zprime.csv", "--seed", "3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_figures_profile_examples(tmp_path):

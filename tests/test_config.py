@@ -81,6 +81,31 @@ def test_all_violations_reported_together(tmp_path):
     assert "c:" in message and "alpha:" in message and "n:" in message
 
 
+@pytest.mark.parametrize("text, prefix", [
+    ("A = 1, 0, 1\n", "line 1: A:"),  # three matrix entries
+    ("n 5\n", "line 1:"),  # no '='
+    ("seed = -1\n", "seed:"),
+    ("a = inf\n", "a, c:"),
+])
+def test_refused_config_line_names_its_key(tmp_path, text, prefix):
+    with pytest.raises(ConfigError) as exc:
+        load_config(write(tmp_path, text))
+    assert f"\n  {prefix}" in str(exc.value)
+
+
+@pytest.mark.parametrize("kwargs, key", [
+    ({"n": 20000.5}, "n"),  # was sampled as 20000 and reported as 20000.5
+    ({"seed": 1.5}, "seed"),
+    ({"n": "5"}, "n"),
+    ({"a": "3.6"}, "a"),
+    ({"c": "0.9"}, "c"),
+    ({"n": True}, "n"),
+])
+def test_run_config_refuses_what_is_no_integer_or_real_by_key(kwargs, key):
+    with pytest.raises(ConfigError, match=rf"^invalid configuration:\n  {key}: must be "):
+        RunConfig(**kwargs)
+
+
 def test_degenerate_flag_requires_zero_rate():
     # the audit would run the identity swirl while the report's parameters say a = 3.6
     with pytest.raises(ConfigError, match=r"a: degenerate_a requires a = 0, got 3.6"):

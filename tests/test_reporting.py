@@ -172,6 +172,25 @@ def test_cloud_csv_rejects_empty(tmp_path):
         read_cloud_csv(path)
 
 
+def read_blank_file(tmp_path):
+    (tmp_path / "blank.csv").write_text("", encoding="utf-8")
+    return read_cloud_csv(tmp_path / "blank.csv")
+
+
+@pytest.mark.parametrize("refused, error, key", [
+    (lambda tmp: write_cloud_csv(tmp / "u.csv", np.zeros((1, 2)), header="u,v"),
+     ValueError, "header"),
+    (read_blank_file, EmptyDatasetError, "empty"),
+    (lambda tmp: swirl_profile(*[sa.sample_uniform_square(10, 0)] * 2, bin_width=0.0),
+     ValueError, "bin width"),
+    (lambda tmp: figures.render_scatter_svg(np.zeros((1, 2)), tmp / "s.svg", (1.0, -1.0)),
+     ValueError, "axis range"),
+], ids=["write-header", "read-empty-file", "profile-bin-width", "svg-axis-range"])
+def test_refused_inputs_raise_their_error(tmp_path, refused, error, key):
+    with pytest.raises(error, match=key):
+        refused(tmp_path)
+
+
 def test_profile_matches_rotation_law(tmp_path):
     A = sa.Mixing2.from_rows(1.0, 0.5, 0.0, 1.0)
     p = sa.MpaParams(3.6, 0.9)

@@ -53,6 +53,19 @@ def test_mpa_params_validation():
     assert fixture.a == 0.0 and fixture.degenerate
 
 
+@pytest.mark.parametrize("kwargs, keys", [
+    ({"a": 0.0, "c": 2.0}, ["c", "a"]),
+    ({"a": 3.6, "c": np.nan}, ["c", "a, c"]),
+    ({"a": np.inf, "c": 0.9}, ["a, c"]),
+    ({"a": 3.6, "c": 0.9, "degenerate": True}, ["a"]),
+    ({"a": "3.6", "c": 0.9}, ["a"]),
+])
+def test_mpa_params_names_every_broken_rule(kwargs, keys):
+    with pytest.raises(ValueError) as exc:
+        sa.MpaParams(**kwargs)
+    assert [problem.split(":")[0] for problem in str(exc.value).split("; ")] == keys
+
+
 def test_mixing_rejects_near_singular():
     with pytest.raises(ValueError):
         sa.Mixing2.from_rows(1.0, 1.0, 1.0, 1.0)
@@ -137,6 +150,27 @@ def test_dataset_validation():
     assert d.n == 3
     with pytest.raises(ValueError):
         d.points[0, 0] = 1.0  # immutable
+
+
+@pytest.mark.parametrize("refused, error", [
+    (lambda: sa.mix(A_DEFAULT(), np.zeros(3)), InvalidPointError),
+    (lambda: sa.Mixing2(np.eye(3)), ValueError),
+    (lambda: sa.Mixing2.from_rows(1.0, np.inf, 0.0, 1.0), ValueError),
+    (lambda: Dataset(points=np.zeros(3), label=LATENT_Z, seed=0), InvalidPointError),
+    (lambda: Dataset(points=np.zeros((3, 2, 2)), label=LATENT_Z, seed=0), InvalidPointError),
+    (lambda: sa.sample_uniform_disk(0, seed=1), EmptyDatasetError),
+    (lambda: sa.jacobian_det_fd(lambda z: z, np.zeros((2, 2))), InvalidPointError),
+], ids=["mix-axis", "mixing-3x3", "mixing-inf", "dataset-1d", "dataset-3d",
+        "disk-empty", "jacobian-two-points"])
+def test_refused_inputs_raise_their_error(refused, error):
+    with pytest.raises(error):
+        refused()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_dataset_refuses_a_seed_that_is_no_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match=r"^seed: must be "):
+        Dataset(points=np.zeros((1, 2)), label=LATENT_Z, seed=seed)
 
 
 # ---------------------------------------------------------------------------
