@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -107,6 +107,9 @@ class AuditSettings:
         problems = self._problems()
         if problems:
             raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
+        for f in fields(self):  # numpy scalars pass the rules; keep Python ones, as JSON needs
+            if plain := {int: int, float: float}.get(type(f.default)):
+                object.__setattr__(self, f.name, plain(getattr(self, f.name)))
 
     def _problems(self) -> list[str]:
         """One message per invalid field, led by the field's name."""
@@ -315,7 +318,6 @@ class AuditReport:
     uniformity_pvalue_zprime: float
     uniformity_alpha: float
     conclusion: CoordRelationVerdict
-    parameters: dict = field(default_factory=dict)
 
     @property
     def premises_pass(self) -> bool:
@@ -703,16 +705,14 @@ def _check_premises(
     Zp: Dataset,
     maps: tuple[Mixing2, MpaParams, Dataset] | None,
     settings: AuditSettings,
-) -> tuple[tuple[Premise, ...], float, dict]:
-    """Every check of :func:`audit_pair` but the relation: its premises, the
-    uniformity p-value of ``Z'``, and the parameters that name the maps."""
+) -> tuple[tuple[Premise, ...], float]:
+    """Every check of :func:`audit_pair` but the relation: premises and uniformity p-value."""
     if maps is None:
         note = {"note": "not-applicable: no analytic maps supplied"}
         map_premises = (
             Premise("continuity", None, None, settings.l_max, note),
             Premise("sigma-algebra", None, None, SIGMA_PROXY_TOL, note),
         )
-        parameters = {"n": Z.n, "seed": None}
     else:
         A, p, X = maps
         x_box = bounding_box(X.points)
@@ -729,14 +729,6 @@ def _check_premises(
             Premise("continuity", f_pass and fp_pass, max(f_ratio, fp_ratio), settings.l_max),
             Premise("sigma-algebra", sigma_pass, sigma_err, SIGMA_PROXY_TOL),
         )
-        parameters = {
-            "a": p.a,
-            "c": p.c,
-            "degenerate_a": p.degenerate,
-            "A": A.matrix.tolist(),
-            "n": Z.n,
-            "seed": Z.seed,
-        }
 
     z_ok, z_box = check_compact_support(Z, _SQUARE)
     zp_ok, zp_box = check_compact_support(Zp, _SQUARE)
@@ -754,7 +746,7 @@ def _check_premises(
         Premise("independent-support-Z", is_z, frac_z, 1.0),
         Premise("independent-support-Zprime", is_zp, frac_zp, 1.0),
     )
-    return premises, check_uniformity(Zp, settings.bins_uniformity), parameters
+    return premises, check_uniformity(Zp, settings.bins_uniformity)
 
 
 def audit_pair(
@@ -798,20 +790,5 @@ def audit_pair(
         checked = worker.submit(_check_premises, Z, Zp, maps, settings)
         conclusion = check_coordinatewise_relation(Z, Zp, bins=settings.bins_relation,
                                                    threshold=settings.functional_threshold)
-    premises, pvalue, parameters = checked.result()
-    return AuditReport(
-        premises=premises,
-        uniformity_pvalue_zprime=pvalue,
-        uniformity_alpha=settings.alpha,
-        conclusion=conclusion,
-        parameters={
-            **parameters,
-            "bins_support": settings.bins_support,
-            "bins_uniformity": settings.bins_uniformity,
-            "bins_relation": settings.bins_relation,
-            "min_count": MIN_COUNT,
-            "functional_threshold": settings.functional_threshold,
-            "alpha": settings.alpha,
-            "l_max": settings.l_max,
-        },
-    )
+    premises, pvalue = checked.result()
+    return AuditReport(premises, pvalue, settings.alpha, conclusion)

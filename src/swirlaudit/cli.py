@@ -165,7 +165,7 @@ def _emit_bundle(cfg: RunConfig, Z, X, Zp, render: bool) -> Iterator[Path]:
 
 def _write_report(out: Path, report, parameters: dict) -> None:
     """Write ``report`` with ``parameters`` to ``out/report.json`` and print its summary."""
-    document = build_report(replace(report, parameters=parameters), tool_version=__version__)
+    document = build_report(report, parameters, tool_version=__version__)
     out.mkdir(parents=True, exist_ok=True)
     write_report_json(out / "report.json", document)
     for entry in document["premises"]:
@@ -186,7 +186,6 @@ def _not_certified_category(report, degenerate: bool) -> str:
 
 def _cmd_run(cfg: RunConfig, render: bool) -> int:
     _check_sample_size(cfg)
-    _drop_stale_report(cfg)
     A, p = cfg.mixing2(), cfg.mpa_params()
     Z, X, Zp = generate(A, p, cfg.n, cfg.seed)
     with _emit_bundle(cfg, Z, X, Zp, render) as out:
@@ -200,7 +199,6 @@ def _cmd_run(cfg: RunConfig, render: bool) -> int:
 
 
 def _cmd_figures(cfg: RunConfig, render: bool) -> int:
-    _drop_stale_report(cfg)
     Z, X, Zp = generate(cfg.mixing2(), cfg.mpa_params(), cfg.n, cfg.seed)
     with _emit_bundle(cfg, Z, X, Zp, render) as out:
         pass  # no audit: the bundle is all that figures makes
@@ -209,7 +207,6 @@ def _cmd_figures(cfg: RunConfig, render: bool) -> int:
 
 
 def _cmd_audit_external(cfg: RunConfig, z_path: str, zp_path: str) -> int:
-    _drop_stale_report(cfg)
     Z = load_external_cloud(z_path, LATENT_Z)
     Zp = load_external_cloud(zp_path, LATENT_ZPRIME)
     report = audit_pair(Z, Zp, settings=cfg)
@@ -224,6 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _effective_config(args)
+        _drop_stale_report(cfg)
         if args.command == "run":
             return _cmd_run(cfg, render=args.render)
         if args.command == "figures":

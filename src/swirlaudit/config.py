@@ -48,10 +48,10 @@ _KEY_TO_FIELD = {key: ("mixing" if key == "A" else key) for key in _PARSERS}
 class RunConfig(AuditSettings):
     """Validated parameters for one experiment run, the audit's settings among them.
 
-    ``mixing`` holds the four mixing-matrix entries row-major.  The
-    ``degenerate_a`` flag cannot be set from a config file; it exists so the
-    identity-swirl negative control can be exercised from tests and the
-    hidden CLI flag.
+    ``mixing`` holds the four mixing-matrix entries row-major, as a tuple of
+    ``float``.  The ``degenerate_a`` flag cannot be set from a config file; it
+    exists so the identity-swirl negative control can be exercised from tests
+    and the hidden CLI flag.
     """
 
     n: int = 100000
@@ -67,10 +67,16 @@ class RunConfig(AuditSettings):
                     if (problem := integer_problem(key, getattr(self, key), lowest))]
         problems += swirl_problems(self.a, self.c, self.degenerate_a)
         try:
+            if len(self.mixing) != 4:
+                raise ValueError(f"expected 4 entries (row-major), got {len(self.mixing)}")
             Mixing2.from_rows(*self.mixing)
         except ValueError as exc:
             problems.append(f"A: {exc}")
         return problems + super()._problems()
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "mixing", tuple(map(float, self.mixing)))
 
     def mixing2(self) -> Mixing2:
         return Mixing2.from_rows(*self.mixing)
@@ -80,10 +86,8 @@ class RunConfig(AuditSettings):
 
     def to_dict(self) -> dict:
         """The fields in config-key order, as ``report.json`` lists them, then ``degenerate_a``."""
-        out = {}
-        for name in (*_KEY_TO_FIELD.values(), "degenerate_a"):
-            value = getattr(self, name)
-            out[name] = list(value) if isinstance(value, tuple) else value
+        out = {name: getattr(self, name) for name in (*_KEY_TO_FIELD.values(), "degenerate_a")}
+        out["mixing"] = list(self.mixing)
         return out
 
 

@@ -300,18 +300,19 @@ def _relation_dict(verdict: CoordRelationVerdict) -> dict:
 
 def build_report(
     report: AuditReport,
+    parameters: dict,
     *,
     tool_version: str,
     timestamp: str | None = None,
 ) -> dict:
-    """Assemble the machine-readable report document; its ``seed`` and
-    ``parameters`` are the report's."""
+    """Assemble the machine-readable report document of ``report``; ``parameters``
+    records what was run, and its ``seed`` (None without one) is the document's."""
     return {
         "tool": "swirlaudit",
         "version": tool_version,
         "timestamp": timestamp or datetime.now(timezone.utc).isoformat(),
-        "seed": report.parameters.get("seed"),
-        "parameters": dict(report.parameters),
+        "seed": parameters.get("seed"),
+        "parameters": dict(parameters),
         "premises": [
             {"name": p.name, "pass": p.passed, "statistic": p.statistic,
              "threshold": p.threshold, **p.detail}

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -105,12 +106,6 @@ def test_report_parameters_keep_their_key_order(tmp_path):
                  "--out", str(ext)]) == 0
     assert list(read_json(ext / "report.json")["parameters"]) == [
         "z_csv", "zprime_csv", "n", *settings
-    ]
-    report = audits.run_audit(swirlaudit.Mixing2.from_rows(1.0, 0.5, 0.0, 1.0),
-                              swirlaudit.MpaParams(3.6, 0.9), 20_000, 7)
-    assert list(report.parameters) == [
-        "a", "c", "degenerate_a", "A", "n", "seed", *settings[:3], "min_count",
-        *settings[3:], "l_max",
     ]
 
 
@@ -237,6 +232,40 @@ def test_run_undersized_n_lists_one_line_per_setting(tmp_path, capsys):
         "  n: must be >= 500 for bins_uniformity = 10, got 100\n"
         "  n: must be >= 2500 for bins_relation = 50, got 100\n"
     )
+
+
+def test_undersized_run_removes_an_earlier_report(tmp_path, capsys):
+    # the refused run would otherwise leave the certified n = 20000 verdict beside it
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path), "--out", str(out)]) == 0
+    assert read_json(out / "report.json")["counterexample_certified"] is True
+    capsys.readouterr()
+    tiny = write_cfg(tmp_path, "n = 100\nseed = 7\n", name="tiny.cfg")
+    assert main(["run", "--config", tiny, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: invalid configuration:\n"
+        "  n: must be >= 2500 for bins_support = 10, got 100\n"
+        "  n: must be >= 500 for bins_uniformity = 10, got 100\n"
+        "  n: must be >= 2500 for bins_relation = 50, got 100\n"
+    )
+    assert not (out / "report.json").exists()
+
+
+def test_each_command_reports_what_it_ran(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path)
+    assert main(["run", "--config", cfg, "--out", "out", "--seed", "11"]) == 0
+    ran = read_json(tmp_path / "out" / "report.json")
+    assert ran["parameters"] == replace(load_config(cfg), output_dir="out", seed=11).to_dict()
+    assert ran["seed"] == 11
+    assert main(["audit-external", "out/z.csv", "out/zprime.csv", "--out", "ext"]) == 0
+    external = read_json(tmp_path / "ext" / "report.json")
+    assert external["parameters"] == {
+        "z_csv": "out/z.csv", "zprime_csv": "out/zprime.csv", "n": 20_000,
+        "bins_support": 10, "bins_uniformity": 10, "bins_relation": 50,
+        "functional_threshold": 0.01, "alpha": 0.001,
+    }
+    assert external["seed"] is None
 
 
 def test_run_samples_once(tmp_path, monkeypatch):

@@ -1,11 +1,16 @@
 """Tests for the flat key = value configuration format."""
 
+import json
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from swirlaudit.audits import AuditSettings, audit_pair, generate
 from swirlaudit.config import RunConfig, load_config
 from swirlaudit.errors import ConfigError
+from swirlaudit.reporting import build_report, write_report_json
 from swirlaudit.transforms import Mixing2, MpaParams
 
 
@@ -104,6 +109,34 @@ def test_refused_config_line_names_its_key(tmp_path, text, prefix):
 def test_run_config_refuses_what_is_no_integer_or_real_by_key(kwargs, key):
     with pytest.raises(ConfigError, match=rf"^invalid configuration:\n  {key}: must be "):
         RunConfig(**kwargs)
+
+
+def test_numpy_scalars_are_stored_as_python_numbers(tmp_path):
+    # numpy scalars pass the rules, but the json module cannot write them
+    cfg = RunConfig(n=np.int64(3000), seed=np.int64(5), a=np.float32(3.6),
+                    alpha=np.float32(0.001), bins_support=np.int64(10),
+                    bins_uniformity=np.int64(10), bins_relation=np.int64(50),
+                    mixing=[np.int64(1), np.float32(0.5), 0, 1])
+    A, p = cfg.mixing2(), cfg.mpa_params()
+    Z, X, Zp = generate(A, p, cfg.n, cfg.seed)
+    report = audit_pair(Z, Zp, maps=(A, p, X), settings=cfg)
+    path = tmp_path / "report.json"
+    write_report_json(path, build_report(report, cfg.to_dict(), tool_version="0.0-test"))
+    assert json.loads(path.read_text(encoding="utf-8"))["parameters"]["n"] == 3000
+    for name in ("n", "seed", "bins_support", "bins_uniformity", "bins_relation"):
+        assert type(getattr(cfg, name)) is int
+    for name in ("a", "c", "functional_threshold", "alpha", "l_max"):
+        assert type(getattr(cfg, name)) is float
+    assert cfg.mixing == (1.0, 0.5, 0.0, 1.0)
+    assert [type(entry) for entry in cfg.mixing] == [float] * 4
+    settings = AuditSettings(bins_support=np.int64(10), l_max=100)
+    assert (type(settings.bins_support), type(settings.l_max)) == (int, float)
+
+
+def test_mixing_needs_four_entries():
+    with pytest.raises(ConfigError, match=r"^invalid configuration:\n  A: expected 4 entries "
+                                          r"\(row-major\), got 3$"):
+        RunConfig(mixing=(1, 0.5, 0))
 
 
 def test_degenerate_flag_requires_zero_rate():

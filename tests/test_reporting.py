@@ -301,7 +301,7 @@ def test_report_document_schema(tmp_path):
     report = sa.run_audit(
         sa.Mixing2.from_rows(1.0, 0.5, 0.0, 1.0), sa.MpaParams(3.6, 0.9), 10_000, 3
     )
-    document = build_report(report, tool_version="0.0-test")
+    document = build_report(report, {"n": 10_000, "seed": 3}, tool_version="0.0-test")
     path = tmp_path / "report.json"
     write_report_json(path, document)
     loaded = json.loads(path.read_text(encoding="utf-8"))
@@ -331,7 +331,7 @@ def test_report_json_is_strict_with_null_for_nan(tmp_path):
     report = sa.run_audit(
         sa.Mixing2.from_rows(1.0, 0.5, 0.0, 1.0), sa.MpaParams(3.6, 0.9), 10_000, 3
     )
-    document = build_report(report, tool_version="0.0-test")
+    document = build_report(report, {"n": 10_000, "seed": 3}, tool_version="0.0-test")
     document["uniformity_pvalue"] = float("nan")
     document["premises"][0]["statistic"] = float("inf")
     path = tmp_path / "report.json"
@@ -350,7 +350,8 @@ def test_report_json_bytes_unchanged_for_finite_reports(tmp_path):
     report = sa.run_audit(
         sa.Mixing2.from_rows(1.0, 0.5, 0.0, 1.0), sa.MpaParams(3.6, 0.9), 10_000, 3
     )
-    document = build_report(report, tool_version="0.0-test", timestamp="t")
+    document = build_report(report, {"n": 10_000, "seed": 3}, tool_version="0.0-test",
+                            timestamp="t")
     path = tmp_path / "report.json"
     write_report_json(path, document)
     assert path.read_text(encoding="utf-8") == json.dumps(document, indent=2) + "\n"
