@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -66,9 +67,6 @@ __all__ = [
     "generate",
     "audit_pair",
     "bounding_box",
-    "min_samples_support",
-    "min_samples_uniformity",
-    "min_samples_relation",
     "SAMPLE_FLOORS",
     "sample_floor_misses",
 ]
@@ -107,9 +105,12 @@ class AuditSettings:
         problems = self._problems()
         if problems:
             raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
-        for f in fields(self):  # numpy scalars pass the rules; keep Python ones, as JSON needs
-            if plain := {int: int, float: float}.get(type(f.default)):
-                object.__setattr__(self, f.name, plain(getattr(self, f.name)))
+        # numpy scalars, paths and lists pass the rules; store what JSON writes, by kind
+        plain = {int: int, float: float, bool: bool, str: os.fspath,
+                 tuple: lambda entries: tuple(map(float, entries))}
+        for f in fields(self):
+            if store := plain.get(type(f.default)):
+                object.__setattr__(self, f.name, store(getattr(self, f.name)))
 
     def _problems(self) -> list[str]:
         """One message per invalid field, led by the field's name."""
@@ -126,27 +127,15 @@ class AuditSettings:
         return problems
 
 
-def min_samples_support(bins: int) -> int:
-    """Smallest n the independent-support check accepts: 5 * MIN_COUNT per cell."""
-    return bins * bins * MIN_COUNT * 5
-
-
-def min_samples_uniformity(bins: int) -> int:
-    """Smallest n the uniformity check accepts: 5 expected counts per cell."""
-    return 5 * bins * bins
-
-
-def min_samples_relation(bins: int) -> int:
-    """Smallest n the relation check accepts: 50 samples per equal-count bin."""
-    return 50 * bins
-
-
 # Every binned check's floor on n: the check's name in errors, the setting
 # that holds its bins, and the smallest n those bins need.
 SAMPLE_FLOORS = (
-    ("independent-support", "bins_support", min_samples_support),
-    ("uniformity", "bins_uniformity", min_samples_uniformity),
-    ("relation", "bins_relation", min_samples_relation),
+    # 5 * MIN_COUNT per cell, so that an empty cell can be called empty
+    ("independent-support", "bins_support", lambda bins: bins * bins * MIN_COUNT * 5),
+    # 5 expected counts per cell, the chi-square rule of thumb
+    ("uniformity", "bins_uniformity", lambda bins: 5 * bins * bins),
+    # 50 samples per equal-count bin
+    ("relation", "bins_relation", lambda bins: 50 * bins),
 )
 
 
@@ -218,7 +207,8 @@ def _grid_counts(points: NDArray[np.float64], bins: int, box) -> NDArray[np.floa
     for lo, hi in box:
         lo, hi = (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
         if not bins * np.finfo(np.float64).tiny <= hi - lo < np.inf:
-            raise ValueError(f"range [{lo}, {hi}] is not finite, or too narrow for {bins} bins")
+            raise InvalidDomainError(
+                f"range [{lo}, {hi}] is not finite, or too narrow for {bins} bins")
         edges = np.linspace(lo, hi, bins + 1)
         edges[-1] = np.nextafter(hi, np.inf)
         axes.append((edges, bins / (hi - lo)))
@@ -456,7 +446,7 @@ def check_independent_support(D: Dataset, bins: int) -> tuple[bool, float]:
     Raises
     ------
     UndersampledError
-        If ``n < min_samples_support(bins)`` (25 samples per cell), too few
+        If ``n`` misses its :data:`SAMPLE_FLOORS` row (25 samples per cell), too few
         to call empty cells empty with any confidence.
     """
     _require_samples(D.n, bins_support=bins)
@@ -545,7 +535,7 @@ def check_uniformity(D: Dataset, bins: int) -> float:
     Raises
     ------
     UndersampledError
-        If ``n < min_samples_uniformity(bins)`` (rule of thumb for
+        If ``n`` misses its :data:`SAMPLE_FLOORS` row (rule of thumb for
         chi-square validity).
     """
     _require_samples(D.n, bins_uniformity=bins)
@@ -649,7 +639,7 @@ def check_coordinatewise_relation(
     PairingError
         If the datasets differ in length.
     UndersampledError
-        If ``n < min_samples_relation(bins)``.
+        If ``n`` misses its :data:`SAMPLE_FLOORS` row (50 per bin).
     """
     _require_paired(Z, Zp)
     _require_samples(Z.n, bins_relation=bins)

@@ -165,7 +165,7 @@ def _emit_bundle(cfg: RunConfig, Z, X, Zp, render: bool) -> Iterator[Path]:
 
 def _write_report(out: Path, report, parameters: dict) -> None:
     """Write ``report`` with ``parameters`` to ``out/report.json`` and print its summary."""
-    document = build_report(report, parameters, tool_version=__version__)
+    document = build_report(report, parameters)
     out.mkdir(parents=True, exist_ok=True)
     write_report_json(out / "report.json", document)
     for entry in document["premises"]:

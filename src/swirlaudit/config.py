@@ -7,9 +7,12 @@ errors (fail closed).  Missing keys fall back to the documented defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from swirlaudit.audits import AuditSettings
 from swirlaudit.errors import ConfigError
@@ -60,23 +63,25 @@ class RunConfig(AuditSettings):
     c: float = 0.9
     mixing: tuple[float, float, float, float] = (1.0, 0.5, 0.0, 1.0)
     output_dir: str = "out"
-    degenerate_a: bool = field(default=False, compare=False)
+    degenerate_a: bool = False
 
     def _problems(self) -> list[str]:
         problems = [problem for key, lowest in (("n", 1), ("seed", 0))
                     if (problem := integer_problem(key, getattr(self, key), lowest))]
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            problems.append(f"output_dir: must be a str or os.PathLike, got {self.output_dir!r}")
+        if not isinstance(self.degenerate_a, (bool, np.bool_)):
+            problems.append(f"degenerate_a: must be a bool, got {self.degenerate_a!r}")
         problems += swirl_problems(self.a, self.c, self.degenerate_a)
         try:
             if len(self.mixing) != 4:
                 raise ValueError(f"expected 4 entries (row-major), got {len(self.mixing)}")
             Mixing2.from_rows(*self.mixing)
+        except TypeError:
+            problems.append(f"A: must be a sequence of 4 real numbers, got {self.mixing!r}")
         except ValueError as exc:
             problems.append(f"A: {exc}")
         return problems + super()._problems()
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "mixing", tuple(map(float, self.mixing)))
 
     def mixing2(self) -> Mixing2:
         return Mixing2.from_rows(*self.mixing)

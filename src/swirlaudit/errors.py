@@ -21,8 +21,8 @@ class IllConditionedPointError(SwirlAuditError):
     """A finite-difference probe sits too close to a known discontinuity."""
 
 
-class InvalidDomainError(SwirlAuditError):
-    """A degenerate or non-finite sampling domain was supplied."""
+class InvalidDomainError(SwirlAuditError, ValueError):
+    """A degenerate or non-finite domain, or a range the support grid cannot bin."""
 
 
 class PairingError(SwirlAuditError):
@@ -36,7 +36,7 @@ class UndersampledError(SwirlAuditError):
     the check's precondition.
     """
 
-    def __init__(self, message: str, required_n: int | None = None):
+    def __init__(self, message: str, required_n: int):
         super().__init__(message)
         self.required_n = required_n
 

@@ -16,13 +16,9 @@ from numpy.typing import ArrayLike, NDArray
 
 from swirlaudit._atomic import atomic_write
 from swirlaudit.audits import _digitize, _require_paired, _sort_order
-from swirlaudit.transforms import Dataset
+from swirlaudit.transforms import BLOCK_ROWS, Dataset
 
 __all__ = ["swirl_profile", "render_scatter_svg"]
-
-# Points formatted per string operation by the SVG writer, so that the block
-# string stays a few MB whatever the cloud size.
-_SVG_BLOCK_ROWS = 16384
 
 _PROFILE_DTYPE = np.dtype(
     [
@@ -138,8 +134,8 @@ def render_scatter_svg(
     circle = f'<circle cx="%.2f" cy="%.2f" r="{point_radius}"/>\n'
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
-        for start in range(0, len(pts), _SVG_BLOCK_ROWS):
-            block = pts[start:start + _SVG_BLOCK_ROWS]
+        for start in range(0, len(pts), BLOCK_ROWS):
+            block = pts[start:start + BLOCK_ROWS]
             xy = np.empty_like(block)
             xy[:, 0] = pad + (block[:, 0] - lo) * scale
             xy[:, 1] = size_px - pad - (block[:, 1] - lo) * scale

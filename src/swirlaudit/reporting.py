@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
+from swirlaudit import __version__
 from swirlaudit._atomic import atomic_write
 from swirlaudit.audits import AuditReport, CoordRelationVerdict
 from swirlaudit.errors import EmptyDatasetError, LabelMismatchError, MalformedRowError
@@ -298,19 +299,14 @@ def _relation_dict(verdict: CoordRelationVerdict) -> dict:
     }
 
 
-def build_report(
-    report: AuditReport,
-    parameters: dict,
-    *,
-    tool_version: str,
-    timestamp: str | None = None,
-) -> dict:
-    """Assemble the machine-readable report document of ``report``; ``parameters``
-    records what was run, and its ``seed`` (None without one) is the document's."""
+def build_report(report: AuditReport, parameters: dict) -> dict:
+    """Assemble the machine-readable report document of ``report``, stamped with this
+    package's version and the current UTC time; ``parameters`` records what was run,
+    and its ``seed`` (None without one) is the document's."""
     return {
         "tool": "swirlaudit",
-        "version": tool_version,
-        "timestamp": timestamp or datetime.now(timezone.utc).isoformat(),
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
         "seed": parameters.get("seed"),
         "parameters": dict(parameters),
         "premises": [

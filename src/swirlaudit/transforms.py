@@ -71,7 +71,7 @@ SIGMA_PROXY_TOL = 1e-9
 # inside the adjugate inverse within eps of the same (measured: at most 1.95).
 _ROUND_TRIP_FACTOR = 8
 
-# Rows per block of the swirl and of the audit checks that apply it: small
+# Rows per block of the swirl, of the audit checks and of the SVG writer: small
 # enough that a block's temporaries stay in cache.
 BLOCK_ROWS = 16384
 

@@ -34,9 +34,6 @@ from swirlaudit.audits import (
     check_independent_support,
     check_sigma_algebra_proxy,
     check_uniformity,
-    min_samples_relation,
-    min_samples_support,
-    min_samples_uniformity,
     run_audit,
 )
 from swirlaudit.errors import (
@@ -351,10 +348,9 @@ def test_average_ranks_equal_rankdata_exactly(levels):
 def test_undersampled_errors_report_the_shared_bounds():
     D = sa.sample_uniform_square(100, 0)
     for check, bound in (
-        (lambda: check_independent_support(D, 10), min_samples_support(10)),
-        (lambda: check_uniformity(D, 10), min_samples_uniformity(10)),
-        (lambda: check_coordinatewise_relation(D, as_zprime(D.points), bins=50),
-         min_samples_relation(50)),
+        (lambda: check_independent_support(D, 10), 2500),
+        (lambda: check_uniformity(D, 10), 500),
+        (lambda: check_coordinatewise_relation(D, as_zprime(D.points), bins=50), 2500),
     ):
         with pytest.raises(UndersampledError) as info:
             check()
@@ -406,6 +402,20 @@ def test_relation_swirl_is_not_coordinate_wise():
 def test_relation_steep_coordinate_wise_map_is_coordinate_wise():
     Z = sa.sample_uniform_square(100_000, 7)
     verdict = check_coordinatewise_relation(Z, as_zprime(Z.points ** 9, seed=7), bins=50)
+    assert verdict.verdict == COORDINATE_WISE
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the score is not robust: one row at (100, 0) scores ~0.227, one at "
+                          "(1e200, 0) overflows the variance to NaN; ROADMAP item 1's rank score "
+                          "mends it")
+@pytest.mark.parametrize("outlier", [100.0, 1e200])
+def test_relation_identity_with_one_outlier_is_coordinate_wise(outlier):
+    points = sa.sample_uniform_square(100_000, 7).points.copy()
+    points[0] = (outlier, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        verdict = check_coordinatewise_relation(Dataset(points, LATENT_Z, 7),
+                                                as_zprime(points, seed=7), bins=50)
     assert verdict.verdict == COORDINATE_WISE
 
 

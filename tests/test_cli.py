@@ -413,6 +413,26 @@ def test_audit_external_undersized_clouds_name_the_check(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("column, values", [
+    (0, (1.7e308, -1.7e308)),  # the span overflows
+    (1, (0.0, 5e-324)),  # too narrow for 10 bins
+])
+def test_audit_external_refuses_a_cloud_the_support_grid_cannot_bin(tmp_path, capsys,
+                                                                     column, values):
+    points = swirlaudit.sample_uniform_square(20_000, seed=3).points.copy()
+    if column == 0:
+        points[:2] = [(values[0], 0.0), (values[1], 0.0)]
+    else:
+        points[:, 1] = np.resize(values, len(points))
+    write_cloud_csv(tmp_path / "z.csv", points, header="z1,z2")
+    out = tmp_path / "out"
+    assert main(["audit-external", str(tmp_path / "z.csv"), str(tmp_path / "z.csv"),
+                 "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: range [") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("observed", ["z", "zprime"])
 def test_audit_external_rejects_an_observation_cloud(tmp_path, capsys, observed):
     # an x1,x2 file in either latent slot is refused, not audited as a latent cloud

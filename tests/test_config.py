@@ -1,6 +1,7 @@
 """Tests for the flat key = value configuration format."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +106,9 @@ def test_refused_config_line_names_its_key(tmp_path, text, prefix):
     ({"a": "3.6"}, "a"),
     ({"c": "0.9"}, "c"),
     ({"n": True}, "n"),
+    ({"output_dir": 5}, "output_dir"),
+    ({"degenerate_a": 1, "a": 0.0}, "degenerate_a"),  # was accepted and written as 1
+    ({"mixing": 5}, "A"),  # raised a bare TypeError from len
 ])
 def test_run_config_refuses_what_is_no_integer_or_real_by_key(kwargs, key):
     with pytest.raises(ConfigError, match=rf"^invalid configuration:\n  {key}: must be "):
@@ -121,7 +125,7 @@ def test_numpy_scalars_are_stored_as_python_numbers(tmp_path):
     Z, X, Zp = generate(A, p, cfg.n, cfg.seed)
     report = audit_pair(Z, Zp, maps=(A, p, X), settings=cfg)
     path = tmp_path / "report.json"
-    write_report_json(path, build_report(report, cfg.to_dict(), tool_version="0.0-test"))
+    write_report_json(path, build_report(report, cfg.to_dict()))
     assert json.loads(path.read_text(encoding="utf-8"))["parameters"]["n"] == 3000
     for name in ("n", "seed", "bins_support", "bins_uniformity", "bins_relation"):
         assert type(getattr(cfg, name)) is int
@@ -131,6 +135,9 @@ def test_numpy_scalars_are_stored_as_python_numbers(tmp_path):
     assert [type(entry) for entry in cfg.mixing] == [float] * 4
     settings = AuditSettings(bins_support=np.int64(10), l_max=100)
     assert (type(settings.bins_support), type(settings.l_max)) == (int, float)
+    cfg = RunConfig(output_dir=Path("d"), degenerate_a=np.bool_(True), a=0.0)
+    written = json.dumps(cfg.to_dict())
+    assert '"output_dir": "d"' in written and '"degenerate_a": true' in written
 
 
 def test_mixing_needs_four_entries():

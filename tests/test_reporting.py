@@ -301,13 +301,13 @@ def test_report_document_schema(tmp_path):
     report = sa.run_audit(
         sa.Mixing2.from_rows(1.0, 0.5, 0.0, 1.0), sa.MpaParams(3.6, 0.9), 10_000, 3
     )
-    document = build_report(report, {"n": 10_000, "seed": 3}, tool_version="0.0-test")
+    document = build_report(report, {"n": 10_000, "seed": 3})
     path = tmp_path / "report.json"
     write_report_json(path, document)
     loaded = json.loads(path.read_text(encoding="utf-8"))
 
     assert loaded["tool"] == "swirlaudit"
-    assert loaded["version"] == "0.0-test"
+    assert loaded["version"] == sa.__version__
     assert loaded["seed"] == 3
     names = [entry["name"] for entry in loaded["premises"]]
     assert names == [
@@ -331,7 +331,7 @@ def test_report_json_is_strict_with_null_for_nan(tmp_path):
     report = sa.run_audit(
         sa.Mixing2.from_rows(1.0, 0.5, 0.0, 1.0), sa.MpaParams(3.6, 0.9), 10_000, 3
     )
-    document = build_report(report, {"n": 10_000, "seed": 3}, tool_version="0.0-test")
+    document = build_report(report, {"n": 10_000, "seed": 3})
     document["uniformity_pvalue"] = float("nan")
     document["premises"][0]["statistic"] = float("inf")
     path = tmp_path / "report.json"
@@ -350,8 +350,7 @@ def test_report_json_bytes_unchanged_for_finite_reports(tmp_path):
     report = sa.run_audit(
         sa.Mixing2.from_rows(1.0, 0.5, 0.0, 1.0), sa.MpaParams(3.6, 0.9), 10_000, 3
     )
-    document = build_report(report, {"n": 10_000, "seed": 3}, tool_version="0.0-test",
-                            timestamp="t")
+    document = build_report(report, {"n": 10_000, "seed": 3})
     path = tmp_path / "report.json"
     write_report_json(path, document)
     assert path.read_text(encoding="utf-8") == json.dumps(document, indent=2) + "\n"
