@@ -2,7 +2,9 @@
 # Soundness and power of the two statistical detectors.
 #
 # 1. The coordinate-wise-relation check must accept genuinely coordinate-wise
-#    constructions (soundness) and reject the swirl (power).
+#    constructions (soundness) and reject the swirl (power).  It scores ranks,
+#    so every strictly monotone coordinate-wise map, steep or not, scores the
+#    same floor, about 1/bins^2.
 # 2. The independent-support check must accept a product support (the square)
 #    and reject a non-product one (the disk).
 import numpy as np
@@ -21,6 +23,8 @@ cases = {
     "swap + cube         Z' = (-Z2, Z1^3)": np.column_stack(
         [-Z.points[:, 1], Z.points[:, 0] ** 3]
     ),
+    "ninth power         Z' = Z^9": Z.points ** 9,
+    "exponential         Z' = exp(3 Z)": np.exp(3.0 * Z.points),
 }
 for name, zp in cases.items():
     verdict = check_coordinatewise_relation(Z, Dataset(zp, LATENT_ZPRIME, seed))

@@ -204,7 +204,7 @@ def _grid_counts(points: NDArray[np.float64], bins: int, box) -> NDArray[np.floa
     and each block's counts are added, so the temporaries stay ~1 MB whatever the
     number of points; the counts are exact integers, whatever the blocks."""
     axes = []
-    for lo, hi in box:
+    for lo, hi in np.asarray(box, float).tolist():  # a span that overflows is inf, unwarned
         lo, hi = (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
         if not bins * np.finfo(np.float64).tiny <= hi - lo < np.inf:
             raise InvalidDomainError(
@@ -228,9 +228,10 @@ class AssignmentScores:
     """Functional-dependence scores for one coordinate assignment.
 
     ``perm`` maps output coordinate ``j`` to the alternate-representation
-    coordinate ``perm[j]``.  Scores are normalized mean within-bin conditional
-    variances in the two directions; 0 means perfect functional dependence,
-    1 means no dependence.
+    coordinate ``perm[j]``.  Each score, in either direction, is the share of one
+    coordinate's rank spread left within equal-count bins of the other: about 1
+    without dependence, and the floor ``F`` of :func:`check_coordinatewise_relation`
+    for a strictly monotone one.
     """
 
     perm: tuple[int, int]
@@ -426,10 +427,8 @@ def check_compact_support(
     """
     expected = np.asarray(expected_box, dtype=np.float64)
     box = bounding_box(D.points)
-    passed = bool(
-        np.all(box[:, 0] >= expected[:, 0] - BOX_SLACK)
-        and np.all(box[:, 1] <= expected[:, 1] + BOX_SLACK)
-    )
+    passed = bool(np.all(box[:, 0] >= expected[:, 0] - BOX_SLACK)
+                  and np.all(box[:, 1] <= expected[:, 1] + BOX_SLACK))
     return passed, box
 
 
@@ -564,47 +563,51 @@ def _sort_order(values: NDArray) -> tuple[NDArray[np.intp], bool]:
     return order, distinct
 
 
-def _conditional_variance_ratio(binning: NDArray, dependents: NDArray,
-                                bins: int) -> tuple[tuple[float, ...], NDArray[np.int32]]:
-    """Per column of ``dependents``: its mean within-bin variance over equal-count
-    bins of ``binning``, normalized by its total variance; and the
-    :func:`_doubled_ranks` of ``binning``, which is sorted once for both.  The bins
-    are those of ``np.array_split``; each run of equal-size bins is reshaped to take
-    its variances in one call, with the bits of one ``var`` per bin."""
-    order, distinct = _sort_order(binning)
-    size, extra = divmod(binning.size, bins)
-    ratios = []
-    for k in range(dependents.shape[1]):
-        dependent = dependents[:, k]
-        total_var = float(dependent.var())
-        if total_var == 0.0:
-            ratios.append(0.0)
-            continue
-        ordered, cut, within = dependent[order], extra * (size + 1), 0.0
-        for rows, run in ((size + 1, ordered[:cut]), (size, ordered[cut:])):
-            for var in run.reshape(-1, rows).var(axis=1).tolist():
-                within += rows * var
-        ratios.append(within / (binning.size * total_var))
-    return tuple(ratios), _doubled_ranks(binning, order, distinct)
-
-
-def _doubled_ranks(values: NDArray, order: NDArray[np.intp], distinct: bool) -> NDArray[np.int32]:
-    """Twice the 1-based ranks of ``values``, tied values sharing their mean
-    rank, given ``(order, distinct) = _sort_order(values)``.  Doubled, a mean
-    rank is a whole number, and int32 holds it for n up to about 1e9."""
-    ranks = np.empty(order.size, dtype=np.int32)
+def _doubled_ranks(values: NDArray) -> tuple[NDArray[np.int32], bool, int]:
+    """Twice the 1-based ranks of ``values``, tied values sharing their mean rank;
+    whether the values are distinct; and the ranks' spread ``sum((ranks - n - 1)**2)``
+    about their mean, exactly.  Doubled, a mean rank is a whole number, and int32 holds
+    it for n up to about 1e9.  Each square is below n**2, so int64 sums of
+    2**62 // n**2 of them cannot wrap, and Python adds those sums."""
+    order, distinct = _sort_order(values)
+    n, rows = order.size, max(1, 2**62 // order.size**2)
+    ranks = np.empty(n, dtype=np.int32)
     if distinct:
         # every group has one member, whose mean rank is its position + 1
-        ranks[order] = np.arange(2, 2 * order.size + 1, 2, dtype=np.int32)
-        return ranks
-    ordered = values[order]
-    starts_group = np.empty(ordered.size, dtype=bool)
-    starts_group[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts_group[1:])
-    starts = np.flatnonzero(starts_group)
-    ends = np.append(starts[1:], ordered.size)
-    ranks[order] = np.repeat(starts + ends + 1, ends - starts)
-    return ranks
+        ranks[order] = np.arange(2, 2 * n + 1, 2, dtype=np.int32)
+    else:
+        ordered = values[order]
+        starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        ends = np.append(starts[1:], n)
+        ranks[order] = np.repeat(starts + ends + 1, ends - starts)
+    blocks = (block.astype(np.int64) - (n + 1) for block in np.split(ranks, range(rows, n, rows)))
+    return ranks, distinct, sum(int(np.dot(block, block)) for block in blocks)
+
+
+def _stable_places(values: NDArray, ranks: NDArray[np.int32], distinct: bool) -> NDArray:
+    """Each row's place in the stable order of ``values``, given their :func:`_doubled_ranks`."""
+    if distinct:
+        return ranks // 2 - 1
+    places = np.empty(ranks.size, dtype=np.intp)
+    places[np.argsort(values, kind="stable")] = np.arange(ranks.size)
+    return places
+
+
+def _within_bin_share(ranks: NDArray[np.int32], spread: int, places: NDArray, bins: int) -> float:
+    """The share of the ``spread`` of doubled ``ranks`` that lies within ``bins`` runs of
+    consecutive ``places`` (row i's rank moved to ``places[i]``), cut as ``np.array_split``
+    cuts them; 0.0 without spread.  That is the spread less ``sum(S**2 / s)`` over each
+    run's size ``s`` and the sum ``S`` of its ranks less their mean, all in integers."""
+    n, (size, extra) = ranks.size, divmod(ranks.size, int(bins))  # Python integers
+    ordered = np.empty_like(ranks)
+    ordered[places] = ranks
+    starts = np.arange(bins) * size + np.minimum(np.arange(bins), extra)
+    sizes = np.diff(starts, append=n)
+    sums = np.add.reduceat(ordered, starts, dtype=np.int64) - (n + 1) * sizes
+    # sum(S**2 / s) times size * (size + 1), each s being size or size + 1
+    between = sum(S * S * (2 * size + 1 - s) for S, s in zip(sums.tolist(), sizes.tolist()))
+    scale = spread * size * (size + 1)
+    return (scale - between) / scale if spread else 0.0
 
 
 def _correlation(x: NDArray, y: NDArray) -> float:
@@ -624,15 +627,16 @@ def check_coordinatewise_relation(
 ) -> CoordRelationVerdict:
     """Decide whether two paired representations are coordinate-wise related.
 
-    For each of the two coordinate assignments and each output coordinate
-    ``j``, the alternate coordinate ``Z'_{perm[j]}`` is cut into ``bins``
-    equal-count bins and the within-bin variance of ``Z_j`` (normalized by
-    its total variance) is the forward score; the reverse score bins ``Z_j``
-    and measures ``Z'_{perm[j]}``.  Near-linear coordinate-wise bijections drive all
-    four scores of the right assignment to the ``1/bins**2`` scale, steep ones (``z**9``)
-    to a multiple of it that can pass the threshold; requiring both directions rules
-    out many-to-one dependence.  The verdict is ``coordinate-wise`` iff some
-    assignment keeps all four scores at or below ``threshold``.
+    Each coordinate is ranked, tied values sharing their mean rank.  For each of the two
+    coordinate assignments and each output coordinate ``j``, the forward score cuts the rows
+    into ``bins`` equal-count bins along ``Z'_{perm[j]}`` and is the share of the spread of
+    ``Z_j``'s ranks left within the bins; the reverse score bins along ``Z_j`` and ranks
+    ``Z'_{perm[j]}``.  For distinct values no score is below the floor
+    ``F = sum(s * (s**2 - 1)) / (n * (n**2 - 1))`` over the bin sizes ``s`` (about
+    ``1/bins**2``), and a score is ``F`` iff each bin holds one block of consecutive ranks,
+    as under any strictly monotone coordinate-wise map.  Requiring both directions rules out
+    many-to-one dependence.  The verdict is ``coordinate-wise`` iff some assignment keeps all
+    four scores at or below ``threshold``.
 
     Raises
     ------
@@ -643,22 +647,19 @@ def check_coordinatewise_relation(
     """
     _require_paired(Z, Zp)
     _require_samples(Z.n, bins_relation=bins)
-    # to_z[k][j] bins Z'_k and scores Z_j; to_zp[j][k] bins Z_j and scores Z'_k.  Each
-    # column is sorted once, for its scores and the notes' ranks, one order alive at a time.
-    to_z, zp_ranks = zip(*(_conditional_variance_ratio(c, Z.points, bins) for c in Zp.points.T))
-    to_zp, z_ranks = zip(*(_conditional_variance_ratio(c, Zp.points, bins) for c in Z.points.T))
-    scored = [
-        AssignmentScores(
-            perm=perm,
-            zprime_to_z=tuple(to_z[perm[j]][j] for j in range(2)),
-            z_to_zprime=tuple(to_zp[j][perm[j]] for j in range(2)),
-        )
-        for perm in _PERMUTATIONS
-    ]
+    columns = (*Z.points.T, *Zp.points.T)  # Z_0, Z_1, Z'_0, Z'_1
+    ranks, distinct, spreads = zip(*map(_doubled_ranks, columns))  # one sort order alive at a time
+    # share[b, d]: column d's ranks binned along column b, a Z column along a Z' one or back
+    share = {(b, d): _within_bin_share(ranks[d], spreads[d], places, bins)
+             for b, places in enumerate(map(_stable_places, columns, ranks, distinct))
+             for d in ((2, 3) if b < 2 else (0, 1))}
+    scored = [AssignmentScores(perm, zprime_to_z=(share[2 + perm[0], 0], share[2 + perm[1], 1]),
+                               z_to_zprime=(share[0, 2 + perm[0]], share[1, 2 + perm[1]]))
+              for perm in _PERMUTATIONS]
     best = min(scored, key=lambda a: a.max_score)
     return CoordRelationVerdict(
         threshold=threshold,
-        monotonicity=tuple(_monotonicity_note(_correlation(zp_ranks[best.perm[j]], z_ranks[j]))
+        monotonicity=tuple(_monotonicity_note(_correlation(ranks[2 + best.perm[j]], ranks[j]))
                            for j in range(2)),
         assignments=tuple(scored),
     )
@@ -768,9 +769,8 @@ def audit_pair(
     report is the one a single thread makes.  The audit's largest temporaries, the
     relation check's, so come from the heap that made the clouds, not from a second
     allocator arena; the worker's stay small, since its checks work in blocks of
-    rows.  The worker is joined
-    before this function returns or raises, so a process that forks around the
-    audit (the CLI's cloud writers) never forks with a live thread.
+    rows.  The worker is joined before this function returns or raises, so a process
+    that forks around the audit (the CLI's cloud writers) never forks with a live thread.
     """
     _require_paired(Z, Zp)
     _require_samples(Z.n, **{key: getattr(settings, key) for _, key, _ in SAMPLE_FLOORS})

@@ -332,7 +332,7 @@ def test_rank_correlation_matches_spearman(levels):
     if levels is not None:
         x, y = np.floor(x * levels), np.floor(y * levels)
     for a, b in ((x, y), (x, -y), (y, rng.permutation(x))):
-        rho = _correlation(*(_doubled_ranks(v, *_sort_order(v)) for v in (a, b)))
+        rho = _correlation(*(_doubled_ranks(v)[0] for v in (a, b)))
         assert abs(rho - stats.spearmanr(a, b).statistic) <= 1e-12
 
 
@@ -343,7 +343,7 @@ def test_average_ranks_equal_rankdata_exactly(levels):
     x = np.random.default_rng(1).random(5000)
     if levels is not None:
         x = np.floor(x * levels)
-    assert np.array_equal(_doubled_ranks(x, *_sort_order(x)) / 2.0, stats.rankdata(x))
+    assert np.array_equal(_doubled_ranks(x)[0] / 2.0, stats.rankdata(x))
 
 def test_undersampled_errors_report_the_shared_bounds():
     D = sa.sample_uniform_square(100, 0)
@@ -396,27 +396,99 @@ def test_relation_swirl_is_not_coordinate_wise():
     assert verdict.best_max_score >= 0.05
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the score is not rank-invariant: Z' = Z**9 scores ~0.0125 > 0.01 "
-                          "at n = 1e5 (k = 30 of 1/bins**2); ROADMAP item 1's rank score mends it")
+def rank_floor(n, bins):
+    """F(n, bins): the smallest score distinct values can have, each bin one block of
+    consecutive ranks."""
+    sizes = [chunk.size for chunk in np.array_split(np.arange(n), bins)]
+    return sum(s * (s * s - 1) for s in sizes) / (n * (n * n - 1))
+
+
 def test_relation_steep_coordinate_wise_map_is_coordinate_wise():
+    # the value score put Z' = Z**9 at ~0.0125 > 0.01; ranks do not see the map
     Z = sa.sample_uniform_square(100_000, 7)
     verdict = check_coordinatewise_relation(Z, as_zprime(Z.points ** 9, seed=7), bins=50)
     assert verdict.verdict == COORDINATE_WISE
+    assert verdict.best_max_score == pytest.approx(rank_floor(100_000, 50), rel=1e-12)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the score is not robust: one row at (100, 0) scores ~0.227, one at "
-                          "(1e200, 0) overflows the variance to NaN; ROADMAP item 1's rank score "
-                          "mends it")
 @pytest.mark.parametrize("outlier", [100.0, 1e200])
 def test_relation_identity_with_one_outlier_is_coordinate_wise(outlier):
+    # a value score put one row at (100, 0) at ~0.227, and overflowed to NaN at (1e200, 0)
     points = sa.sample_uniform_square(100_000, 7).points.copy()
     points[0] = (outlier, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        verdict = check_coordinatewise_relation(Dataset(points, LATENT_Z, 7),
-                                                as_zprime(points, seed=7), bins=50)
+    verdict = check_coordinatewise_relation(Dataset(points, LATENT_Z, 7),
+                                            as_zprime(points, seed=7), bins=50)
     assert verdict.verdict == COORDINATE_WISE
+    assert verdict.best_max_score == pytest.approx(rank_floor(100_000, 50), rel=1e-12)
+
+
+MONOTONE_MAPS = {
+    "cube": lambda v: v ** 3,
+    "ninth power": lambda v: v ** 9,
+    "exp": lambda v: np.exp(3.0 * v),
+    "tanh": lambda v: np.tanh(4.0 * v),
+    "negation": lambda v: -v,
+    "negated fifth power": lambda v: -(v ** 5),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    maps=st.tuples(st.sampled_from(sorted(MONOTONE_MAPS)), st.sampled_from(sorted(MONOTONE_MAPS))),
+    swap=st.booleans(),
+    n=st.integers(2500, 12_000),
+    bins=st.integers(10, 50),  # from 10 bins on, the floor is below the 0.01 threshold
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_relation_of_strictly_monotone_maps_scores_the_floor(maps, swap, n, bins, seed):
+    assume(n >= 50 * bins)
+    Z = sa.sample_uniform_square(n, seed)
+    zp = np.column_stack([MONOTONE_MAPS[name](Z.points[:, j]) for j, name in enumerate(maps)])
+    assume(all(np.unique(column).size == n for column in zp.T))  # the map kept values apart
+    perm = (1, 0) if swap else (0, 1)
+    verdict = check_coordinatewise_relation(Z, as_zprime(zp[:, perm]), bins=bins)
+    assert verdict.verdict == COORDINATE_WISE
+    assert verdict.best_assignment == perm
+    assert verdict.best_max_score == pytest.approx(rank_floor(n, bins), rel=1e-12)
+    signs = ["decreasing" if "negat" in name else "increasing" for name in maps]
+    assert verdict.monotonicity == tuple(signs)  # Z_j against Z'_{perm[j]}, its own map
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2500, 12_000),
+    bins=st.integers(2, 50),
+    seed=st.integers(0, 2**32 - 1),
+    a=st.floats(0.0, 10.0),
+    swap=st.booleans(),
+)
+def test_relation_scores_of_distinct_values_never_fall_below_the_floor(n, bins, seed, a, swap):
+    assume(n >= 50 * bins)
+    Z = sa.sample_uniform_square(n, seed)
+    zp = sa.mpa_forward(sa.MpaParams(a, 0.9), Z.points) if a else Z.points.copy()
+    zp = zp[:, ::-1] if swap else zp
+    zp[:, 1] += np.random.default_rng(seed).normal(0.0, 0.1, n)  # and some noise
+    assume(all(np.unique(column).size == n for column in (*Z.points.T, *zp.T)))
+    verdict = check_coordinatewise_relation(Z, as_zprime(zp), bins=bins)
+    floor = rank_floor(n, bins)
+    for scores in verdict.assignments:
+        for score in (*scores.zprime_to_z, *scores.z_to_zprime):
+            assert floor * (1 - 1e-12) <= score <= 1.0
+
+
+@pytest.mark.parametrize("group", [1, 3])
+def test_rank_spread_is_exact_where_its_squares_pass_int64(group):
+    # 4e6 doubled ranks: their centred squares sum past 2**63, and so would wrap in one
+    # int64 sum; groups of three tied values take off sum(t**3 - t) / 3 per group
+    n = 4_000_002
+    ranks, distinct, spread = _doubled_ranks(np.arange(n, dtype=np.float64) // group)
+    assert distinct == (group == 1)
+    assert n * (n * n - 1) // 3 > 2**63
+    assert spread == (n**3 - n - n // group * (group**3 - group)) // 3
+    if group == 1:
+        # Z' = Z at this size: every bin one block of consecutive ranks
+        share = audits._within_bin_share(ranks, spread, ranks // 2 - 1, 50)
+        assert share == pytest.approx(rank_floor(n, 50), rel=1e-12)
 
 
 def test_relation_requires_pairing_and_samples():
@@ -677,7 +749,7 @@ def test_sort_order_keeps_signed_zeros_and_nan_in_stable_order():
 
 
 def _reference_ratio(binning, dependent, bins):
-    """One stable sort per (binning, dependent) pair, as the check once did."""
+    """One stable sort per (binning, dependent) pair; the check scores ``dependent``'s ranks."""
     total_var = float(dependent.var())
     if total_var == 0.0:
         return 0.0
@@ -713,14 +785,16 @@ def _reference_note(x, y):
 
 def reference_relation(Z, Zp, bins=50, threshold=0.01):
     """The relation check with its twelve stable sorts (eight for the scores,
-    four for the monotonicity ranks)."""
+    four for the monotonicity ranks), scoring ``rankdata``'s ranks."""
     scored = []
     for perm in ((0, 1), (1, 0)):
         forward = tuple(
-            _reference_ratio(Zp.points[:, perm[j]], Z.points[:, j], bins) for j in range(2)
+            _reference_ratio(Zp.points[:, perm[j]], stats.rankdata(Z.points[:, j]), bins)
+            for j in range(2)
         )
         reverse = tuple(
-            _reference_ratio(Z.points[:, j], Zp.points[:, perm[j]], bins) for j in range(2)
+            _reference_ratio(Z.points[:, j], stats.rankdata(Zp.points[:, perm[j]]), bins)
+            for j in range(2)
         )
         scored.append(AssignmentScores(perm=perm, zprime_to_z=forward, z_to_zprime=reverse))
     best = min(scored, key=lambda a: a.max_score)
@@ -733,12 +807,15 @@ def reference_relation(Z, Zp, bins=50, threshold=0.01):
     )
 
 
-def _score_bits(verdict):
-    return [
-        float(s).hex()
-        for a in verdict.assignments
-        for s in (*a.zprime_to_z, *a.z_to_zprime)
-    ] + [float(verdict.best_max_score).hex()]
+def assert_same_relation(got, want):
+    """The same verdict, notes and assignments, and each score within 1e-12 relative:
+    the check's integer sums and the reference's float variances round apart."""
+    assert (got.verdict, got.monotonicity, got.best_assignment) == (
+        want.verdict, want.monotonicity, want.best_assignment)
+    assert [a.perm for a in got.assignments] == [a.perm for a in want.assignments]
+    for mine, theirs in zip(got.assignments, want.assignments):
+        assert (*mine.zprime_to_z, *mine.z_to_zprime) == pytest.approx(
+            (*theirs.zprime_to_z, *theirs.z_to_zprime), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("decimals", [None, 2, 1])
@@ -753,10 +830,8 @@ def test_relation_identical_to_twelve_sort_reference(p, decimals):
         if decimals is not None:
             Z = Dataset(points=np.round(Z.points, decimals), label=LATENT_Z, seed=seed)
             Zp = as_zprime(np.round(Zp.points, decimals), seed=seed)
-        got = check_coordinatewise_relation(Z, Zp, bins=40)
-        want = reference_relation(Z, Zp, bins=40)
-        assert got == want
-        assert _score_bits(got) == _score_bits(want)
+        assert_same_relation(check_coordinatewise_relation(Z, Zp, bins=40),
+                             reference_relation(Z, Zp, bins=40))
 
 
 @pytest.mark.parametrize("n", [1, 2, 1001])
@@ -830,10 +905,8 @@ def test_relation_identical_to_twelve_sort_reference_at_uneven_bins(bins, decima
     if decimals is not None:
         Z = Dataset(points=np.round(Z.points, decimals), label=LATENT_Z, seed=8)
         Zp = as_zprime(np.round(Zp.points, decimals), seed=8)
-    got = check_coordinatewise_relation(Z, Zp, bins=bins)
-    want = reference_relation(Z, Zp, bins=bins)
-    assert got == want
-    assert _score_bits(got) == _score_bits(want)
+    assert_same_relation(check_coordinatewise_relation(Z, Zp, bins=bins),
+                         reference_relation(Z, Zp, bins=bins))
 
 
 @pytest.mark.parametrize(
@@ -855,7 +928,7 @@ def test_relation_notes_equal_rank_correlation_notes(zp):
     # correlation of rankdata's ranks, and Spearman's rho to rounding
     for j in range(2):
         x, y = Zp.points[:, perm[j]], Z.points[:, j]
-        rx, ry = (_doubled_ranks(v, *_sort_order(v)) for v in (x, y))
+        rx, ry = (_doubled_ranks(v)[0] for v in (x, y))
         assert rx.dtype == np.int32
         assert np.array_equal(rx, 2 * stats.rankdata(x))
         with np.errstate(invalid="ignore", divide="ignore"):

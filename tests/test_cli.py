@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -426,8 +427,10 @@ def test_audit_external_refuses_a_cloud_the_support_grid_cannot_bin(tmp_path, ca
         points[:, 1] = np.resize(values, len(points))
     write_cloud_csv(tmp_path / "z.csv", points, header="z1,z2")
     out = tmp_path / "out"
-    assert main(["audit-external", str(tmp_path / "z.csv"), str(tmp_path / "z.csv"),
-                 "--out", str(out)]) == 5
+    with warnings.catch_warnings():  # and no numpy overflow warning on the way
+        warnings.simplefilter("error")
+        assert main(["audit-external", str(tmp_path / "z.csv"), str(tmp_path / "z.csv"),
+                     "--out", str(out)]) == 5
     err = capsys.readouterr().err
     assert err.startswith("error: range [") and err.count("\n") == 1 and "Traceback" not in err
     assert not (out / "report.json").exists()
