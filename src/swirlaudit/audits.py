@@ -551,70 +551,117 @@ def _sort_order(values: NDArray) -> tuple[NDArray[np.intp], bool]:
     may order equal values either way.  When the order it finds is strictly
     increasing the values are distinct, only one permutation sorts them, and
     it is the stable order.  Otherwise (ties, -0.0 next to 0.0, NaN) the
-    stable sort is run instead.  Either way the result equals
-    ``np.argsort(values, kind="stable")``.  Returns ``(order, distinct)``,
-    where ``distinct`` is True iff the fast order was kept.
+    stable sort is run instead, once the fast order is dropped.  Either way
+    the result equals ``np.argsort(values, kind="stable")``.  Returns
+    ``(order, distinct)``, where ``distinct`` is True iff the fast order was
+    kept.  The values are read in sorted order a block of rows at a time, so
+    no sorted copy is made.
     """
     order = np.argsort(values)
-    ordered = values[order]
-    distinct = bool(np.all(ordered[1:] > ordered[:-1]))
-    if not distinct:
-        order = np.argsort(values, kind="stable")
-    return order, distinct
+    blocks = (values[order[start:start + BLOCK_ROWS + 1]]  # each block and the next row
+              for start in range(0, order.size, BLOCK_ROWS))
+    if all(np.all(ordered[1:] > ordered[:-1]) for ordered in blocks):
+        return order, True
+    del order, blocks  # one order alive at a time
+    return np.argsort(values, kind="stable"), False
+
+
+def _places(order: NDArray[np.intp]) -> NDArray[np.int32]:
+    """Each row's place in ``order``, as int32, scattered a block of rows at a time."""
+    places = np.empty(order.size, dtype=np.int32)
+    for start in range(0, order.size, BLOCK_ROWS):
+        rows = order[start:start + BLOCK_ROWS]
+        places[rows] = np.arange(start, start + rows.size, dtype=np.int32)
+    return places
+
+
+def _run_starts(values: NDArray, order: NDArray[np.intp]):
+    """Blocks ``(rows, firsts)`` along ``order``: the rows of each block of ``order``
+    and, for each, the place in ``order`` where its run of equal values begins."""
+    first = 0
+    for start in range(0, order.size, BLOCK_ROWS):
+        rows = order[start:start + BLOCK_ROWS]
+        ordered = values[order[max(start - 1, 0):start + rows.size]]  # and the row before
+        new = ordered[1:] != ordered[:-1]
+        if not start:
+            new = np.concatenate(([True], new))
+        firsts = np.maximum.accumulate(np.where(new, np.arange(start, start + rows.size), first))
+        first = firsts[-1]
+        yield rows, firsts
 
 
 def _doubled_ranks(values: NDArray) -> tuple[NDArray[np.int32], bool, int]:
     """Twice the 1-based ranks of ``values``, tied values sharing their mean rank;
     whether the values are distinct; and the ranks' spread ``sum((ranks - n - 1)**2)``
     about their mean, exactly.  Doubled, a mean rank is a whole number, and int32 holds
-    it for n up to about 1e9.  Each square is below n**2, so int64 sums of
-    2**62 // n**2 of them cannot wrap, and Python adds those sums."""
+    it for n up to about 1e9.  The ranks are scattered a block of rows at a time: for
+    distinct values each row's is twice its place in the order plus 2, and a run of
+    equal values from place ``f`` to ``l`` takes ``f + l + 2``, its ``f`` carried
+    forward through the order and its ``l`` backward."""
     order, distinct = _sort_order(values)
-    n, rows = order.size, max(1, 2**62 // order.size**2)
-    ranks = np.empty(n, dtype=np.int32)
+    n = order.size
     if distinct:
-        # every group has one member, whose mean rank is its position + 1
-        ranks[order] = np.arange(2, 2 * n + 1, 2, dtype=np.int32)
+        ranks = _places(order)
+        ranks *= 2
+        ranks += 2
     else:
-        ordered = values[order]
-        starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-        ends = np.append(starts[1:], n)
-        ranks[order] = np.repeat(starts + ends + 1, ends - starts)
-    blocks = (block.astype(np.int64) - (n + 1) for block in np.split(ranks, range(rows, n, rows)))
-    return ranks, distinct, sum(int(np.dot(block, block)) for block in blocks)
+        ranks = np.empty(n, dtype=np.int32)
+        for rows, firsts in _run_starts(values, order):
+            ranks[rows] = firsts
+        for rows, firsts in _run_starts(values, order[::-1]):  # l = n - 1 - f of the reversed order
+            ranks[rows] += n + 1 - firsts
+    return ranks, distinct, _rank_dot(ranks, ranks)
 
 
-def _stable_places(values: NDArray, ranks: NDArray[np.int32], distinct: bool) -> NDArray:
+def _rank_dot(x: NDArray[np.int32], y: NDArray[np.int32]) -> int:
+    """``sum((x - n - 1) * (y - n - 1))`` of two columns of ``n`` doubled ranks, exactly:
+    doubled ranks sum to ``n * (n + 1)``, so it is ``sum(x * y) - n * (n + 1)**2``.  Each
+    product is at most ``4 * n**2``, so the int64 sums of blocks of rows that hold no
+    more than ``2**63 // (4 * n**2)`` of them cannot wrap, and Python adds those sums."""
+    n = x.size
+    rows = min(BLOCK_ROWS, max(1, (2**63 - 1) // (4 * n * n)))
+    total = sum(int(np.dot(x[start:start + rows].astype(np.int64), y[start:start + rows]))
+                for start in range(0, n, rows))
+    return total - n * (n + 1) ** 2
+
+
+def _stable_places(values: NDArray, ranks: NDArray[np.int32], distinct: bool) -> NDArray[np.int32]:
     """Each row's place in the stable order of ``values``, given their :func:`_doubled_ranks`."""
     if distinct:
         return ranks // 2 - 1
-    places = np.empty(ranks.size, dtype=np.intp)
-    places[np.argsort(values, kind="stable")] = np.arange(ranks.size)
-    return places
+    return _places(np.argsort(values, kind="stable"))
 
 
 def _within_bin_share(ranks: NDArray[np.int32], spread: int, places: NDArray, bins: int) -> float:
     """The share of the ``spread`` of doubled ``ranks`` that lies within ``bins`` runs of
     consecutive ``places`` (row i's rank moved to ``places[i]``), cut as ``np.array_split``
     cuts them; 0.0 without spread.  That is the spread less ``sum(S**2 / s)`` over each
-    run's size ``s`` and the sum ``S`` of its ranks less their mean, all in integers."""
+    run's size ``s`` and the sum ``S`` of its ranks less their mean, all in integers.
+    The ranks are moved a block of rows at a time, and each run's sum is taken in int64
+    from its own rows, so no int64 copy of the column is made."""
     n, (size, extra) = ranks.size, divmod(ranks.size, int(bins))  # Python integers
     ordered = np.empty_like(ranks)
-    ordered[places] = ranks
-    starts = np.arange(bins) * size + np.minimum(np.arange(bins), extra)
-    sizes = np.diff(starts, append=n)
-    sums = np.add.reduceat(ordered, starts, dtype=np.int64) - (n + 1) * sizes
+    for start in range(0, n, BLOCK_ROWS):
+        ordered[places[start:start + BLOCK_ROWS]] = ranks[start:start + BLOCK_ROWS]
+    cut = extra * (size + 1)  # the first extra runs hold size + 1 places, the rest size
+    sums = np.concatenate([ordered[:cut].reshape(extra, size + 1).sum(axis=1, dtype=np.int64),
+                           ordered[cut:].reshape(bins - extra, size).sum(axis=1, dtype=np.int64)])
+    sizes = np.repeat([size + 1, size], [extra, bins - extra])
+    sums -= (n + 1) * sizes
     # sum(S**2 / s) times size * (size + 1), each s being size or size + 1
     between = sum(S * S * (2 * size + 1 - s) for S, s in zip(sums.tolist(), sizes.tolist()))
     scale = spread * size * (size + 1)
     return (scale - between) / scale if spread else 0.0
 
 
-def _correlation(x: NDArray, y: NDArray) -> float:
-    """Pearson's correlation, NaN when either input is constant.  Doubling both
-    inputs scales each step exactly: doubled ranks give the bits of plain ones."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return float(np.corrcoef(x, y)[0, 1])
+def _correlation(x: NDArray[np.int32], y: NDArray[np.int32], spread_x: int, spread_y: int) -> float:
+    """Spearman's rho of two columns, given their :func:`_doubled_ranks` and spreads;
+    NaN when either column is constant.  It is their exact cross sum over the square
+    root of the spreads' product, the root taken in integers 64 bits past its units and
+    the quotient rounded once, so within an ulp of the exact rho."""
+    if not (spread_x and spread_y):
+        return math.nan
+    return (_rank_dot(x, y) << 64) / math.isqrt(spread_x * spread_y << 128)
 
 
 def _monotonicity_note(rho: float) -> str:
@@ -650,17 +697,21 @@ def check_coordinatewise_relation(
     columns = (*Z.points.T, *Zp.points.T)  # Z_0, Z_1, Z'_0, Z'_1
     ranks, distinct, spreads = zip(*map(_doubled_ranks, columns))  # one sort order alive at a time
     # share[b, d]: column d's ranks binned along column b, a Z column along a Z' one or back
-    share = {(b, d): _within_bin_share(ranks[d], spreads[d], places, bins)
-             for b, places in enumerate(map(_stable_places, columns, ranks, distinct))
-             for d in ((2, 3) if b < 2 else (0, 1))}
+    share = {}
+    for b, column in enumerate(columns):
+        places = _stable_places(column, ranks[b], distinct[b])
+        for d in ((2, 3) if b < 2 else (0, 1)):
+            share[b, d] = _within_bin_share(ranks[d], spreads[d], places, bins)
+        del places  # one places array alive at a time
     scored = [AssignmentScores(perm, zprime_to_z=(share[2 + perm[0], 0], share[2 + perm[1], 1]),
                                z_to_zprime=(share[0, 2 + perm[0]], share[1, 2 + perm[1]]))
               for perm in _PERMUTATIONS]
     best = min(scored, key=lambda a: a.max_score)
     return CoordRelationVerdict(
         threshold=threshold,
-        monotonicity=tuple(_monotonicity_note(_correlation(ranks[2 + best.perm[j]], ranks[j]))
-                           for j in range(2)),
+        monotonicity=tuple(_monotonicity_note(_correlation(ranks[2 + k], ranks[j], spreads[2 + k],
+                                                           spreads[j]))
+                           for j, k in enumerate(best.perm)),
         assignments=tuple(scored),
     )
 

@@ -363,10 +363,9 @@ def apply_pipeline(A: Mixing2, p: MpaParams, zs: Dataset) -> tuple[Dataset, Data
         raise LabelMismatchError(
             f"pipeline input must be labelled {LATENT_Z!r}, got {zs.label!r}"
         )
-    x_pts = mix(A, zs.points)
-    zp_pts = mpa_forward(p, unmix(A, x_pts))
-    x = Dataset(points=x_pts, label=OBSERVED_X, seed=zs.seed)
-    zp = Dataset(points=zp_pts, label=LATENT_ZPRIME, seed=zs.seed)
+    # each cloud is built from its expression, so its temporaries die once it is copied
+    x = Dataset(points=mix(A, zs.points), label=OBSERVED_X, seed=zs.seed)
+    zp = Dataset(points=mpa_forward(p, unmix(A, x.points)), label=LATENT_ZPRIME, seed=zs.seed)
     return x, zp
 
 

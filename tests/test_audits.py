@@ -332,7 +332,8 @@ def test_rank_correlation_matches_spearman(levels):
     if levels is not None:
         x, y = np.floor(x * levels), np.floor(y * levels)
     for a, b in ((x, y), (x, -y), (y, rng.permutation(x))):
-        rho = _correlation(*(_doubled_ranks(v)[0] for v in (a, b)))
+        (ra, _, sa_), (rb, _, sb) = _doubled_ranks(a), _doubled_ranks(b)
+        rho = _correlation(ra, rb, sa_, sb)
         assert abs(rho - stats.spearmanr(a, b).statistic) <= 1e-12
 
 
@@ -923,20 +924,96 @@ def test_relation_notes_equal_rank_correlation_notes(zp):
     Z = sa.sample_uniform_square(5000, 31)
     Zp = as_zprime(zp(Z.points))
     verdict = check_coordinatewise_relation(Z, Zp, bins=20)
-    perm = verdict.best_assignment
-    # the notes' correlations of doubled int32 ranks carry the bits of Pearson's
-    # correlation of rankdata's ranks, and Spearman's rho to rounding
-    for j in range(2):
-        x, y = Zp.points[:, perm[j]], Z.points[:, j]
-        rx, ry = (_doubled_ranks(v)[0] for v in (x, y))
+    # the notes' correlations are Spearman's rho of the doubled int32 ranks, within 2 ulp
+    # of its exact value: the cross sum and the spreads in Python integers, the root in mpmath
+    for j, k in enumerate(verdict.best_assignment):
+        x, y = Zp.points[:, k], Z.points[:, j]
+        (rx, _, spread_x), (ry, _, spread_y) = _doubled_ranks(x), _doubled_ranks(y)
         assert rx.dtype == np.int32
         assert np.array_equal(rx, 2 * stats.rankdata(x))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rho = float(np.corrcoef(stats.rankdata(x), stats.rankdata(y))[0, 1])
-        assert _correlation(rx, ry).hex() == rho.hex()
-        if not math.isnan(rho):
-            assert abs(rho - stats.spearmanr(x, y).statistic) <= 1e-12
-        assert verdict.monotonicity[j] == audits._monotonicity_note(rho)
+        cx, cy = ([int(r) - Z.n - 1 for r in 2 * stats.rankdata(v)] for v in (x, y))
+        assert (spread_x, spread_y) == (sum(c * c for c in cx), sum(c * c for c in cy))
+        rho = _correlation(rx, ry, spread_x, spread_y)
+        if spread_x and spread_y:
+            with mpmath.workdps(40):
+                exact = sum(a * b for a, b in zip(cx, cy)) / mpmath.sqrt(spread_x * spread_y)
+                assert abs(rho - exact) <= 2 * math.ulp(rho)
+        else:
+            assert math.isnan(rho)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", stats.ConstantInputWarning)
+            spearman = stats.spearmanr(x, y).statistic
+        assert verdict.monotonicity[j] == audits._monotonicity_note(spearman)
+
+
+@st.composite
+def rank_clouds(draw, n):
+    """Two paired clouds of ``n`` points (a small n drawn if None), each column distinct,
+    rounded to ties, a few values repeated, signed zeros among rounded values, or constant."""
+    n = n or draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(4):
+        kind = draw(st.sampled_from(["distinct", "ties", "repeated", "signed zeros", "constant"]))
+        v = rng.standard_normal(n)
+        if kind == "ties":
+            v = np.round(v, draw(st.integers(0, 2)))
+        elif kind == "repeated":
+            v = rng.choice(v[:draw(st.integers(1, 5))], n)
+        elif kind == "signed zeros":
+            v = np.where(rng.random(n) < 0.3, rng.choice([-0.0, 0.0], n), np.round(v, 1))
+        elif kind == "constant":
+            v = np.full(n, v[0])
+        columns.append(v)
+    return (Dataset(points=np.column_stack(columns[:2]), label=LATENT_Z, seed=0),
+            as_zprime(np.column_stack(columns[2:])))
+
+
+BLOCK = audits.BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, None])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), bins=st.integers(2, 50))
+def test_blocked_rank_sums_equal_python_integer_sums(n, data, bins):
+    # n straddles the relation's row blocks, or is small (None)
+    Z, Zp = data.draw(rank_clouds(n))
+    n = Z.n
+    ranked = [_doubled_ranks(column) for column in (*Z.points.T, *Zp.points.T)]
+    for column, (ranks, _, spread) in zip((*Z.points.T, *Zp.points.T), ranked):
+        assert np.array_equal(ranks, 2 * stats.rankdata(column))
+        assert spread == sum((int(r) - n - 1) ** 2 for r in ranks)
+    for j in range(2):
+        (rx, _, sx), (ry, _, sy) = ranked[2 + j], ranked[j]
+        rho = _correlation(rx, ry, sx, sy)
+        if sx and sy:
+            assert abs(rho - stats.spearmanr(Zp.points[:, j], Z.points[:, j]).statistic) <= 1e-12
+        else:  # a constant column has no rank correlation, and so no direction
+            assert math.isnan(rho)
+            assert audits._monotonicity_note(rho) == "non-monotone"
+    bins = min(bins, n // 50)
+    if bins >= 2:
+        assert_same_relation(check_coordinatewise_relation(Z, Zp, bins=bins),
+                             reference_relation(Z, Zp, bins=bins))
+
+
+@pytest.mark.parametrize("decimals", [None, 2])
+def test_relation_peak_memory_is_at_most_32_bytes_per_row(decimals):
+    # 16 bytes per row for the four int32 rank columns, and at most one full-length
+    # working pair beside them: an argsort order, or an int32 places-and-scatter pair;
+    # decimals=2 takes the tied path, its stable sorts and run scans
+    n = 200_000
+    Z, Zp = paired(n=n, seed=3)
+    if decimals is not None:
+        Z = Dataset(points=np.round(Z.points, decimals), label=LATENT_Z, seed=3)
+        Zp = as_zprime(np.round(Zp.points, decimals), seed=3)
+    tracemalloc.start()
+    try:
+        check_coordinatewise_relation(Z, Zp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * n + 2**20
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.7e308])
