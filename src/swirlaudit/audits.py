@@ -24,9 +24,9 @@ falsification audits, consistent-with rather than established-by samples.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass, field, fields
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -45,6 +45,7 @@ from swirlaudit.transforms import (
     integer_problem,
     mpa_forward,
     mpa_inverse,
+    real_problem,
     sample_uniform_square,
     unmix,
 )
@@ -120,8 +121,8 @@ class AuditSettings:
                                   ("alpha", "must lie in (0, 1)", 1.0),
                                   ("l_max", "must be positive and finite", math.inf)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                problems.append(f"{name}: must be a real number, got {value!r}")
+            if problem := real_problem(name, value):
+                problems.append(problem)
             elif not 0.0 < value < upper:
                 problems.append(f"{name}: {rule}, got {value}")
         return problems
@@ -544,19 +545,122 @@ def check_uniformity(D: Dataset, bins: int) -> float:
     return _chi2_sf(bins * bins - 1, statistic)
 
 
-def _sort_order(values: NDArray) -> tuple[NDArray[np.intp], bool]:
-    """The stable ascending order of ``values``, from the fast sort when possible.
+# A float64's bits but its sign; see _float_keys.
+_MAGNITUDE = 0x7FFF_FFFF_FFFF_FFFF
 
-    The default ``argsort`` is several times faster than the stable one, but
-    may order equal values either way.  When the order it finds is strictly
-    increasing the values are distinct, only one permutation sorts them, and
-    it is the stable order.  Otherwise (ties, -0.0 next to 0.0, NaN) the
-    stable sort is run instead, once the fast order is dropped.  Either way
-    the result equals ``np.argsort(values, kind="stable")``.  Returns
-    ``(order, distinct)``, where ``distinct`` is True iff the fast order was
-    kept.  The values are read in sorted order a block of rows at a time, so
-    no sorted copy is made.
+# The key of inf; -_INF_KEY is the key of -inf.
+_INF_KEY = 0x7FF0_0000_0000_0000
+
+
+def _float_keys(values: NDArray[np.float64], out: NDArray[np.int64] | None = None
+                ) -> NDArray[np.int64]:
+    """Each float64's bits as an int64 that sorts as the float does: its magnitude bits,
+    negated for a float with the sign bit, so -0.0 and 0.0 share the key 0.  Unlike the
+    floats, the keys put a NaN with the sign bit below -inf and any other NaN above inf,
+    each by its payload.  ``out``, if given, receives the keys."""
+    bits = values.view(np.int64)
+    signs = bits >> 63  # -1 for the sign bit, else 0
+    keys = np.bitwise_and(bits, _MAGNITUDE, out=out)
+    keys ^= signs
+    keys -= signs
+    return keys
+
+
+def _packed_keys(values: NDArray[np.float64], shift: int) -> NDArray[np.int64]:
+    """The sorted packed keys of :func:`_sort_order`: each row's :func:`_float_keys` key
+    with its low ``shift`` bits replaced by the row's number, made a block of rows at a
+    time and sorted in place."""
+    keys = np.empty(values.size, dtype=np.int64)
+    for start in range(0, values.size, BLOCK_ROWS):
+        block = _float_keys(values[start:start + BLOCK_ROWS], out=keys[start:start + BLOCK_ROWS])
+        block &= -1 << shift
+        block |= np.arange(start, start + block.size)
+    keys.sort()
+    return keys
+
+
+def _sort_order(values: NDArray[np.float64]) -> tuple[NDArray[np.intp], bool]:
+    """The stable ascending order of float64 ``values``, and whether the ordered values
+    strictly increase (a NaN is never greater than another value).  The result equals
+    ``np.argsort(values, kind="stable")``; it comes from :func:`_packed_order` when
+    that can make it, and else from numpy's argsorts (:func:`_stable_order`)."""
+    return _packed_order(values) or _stable_order(values)
+
+
+def _packed_order(values: NDArray[np.float64]) -> tuple[NDArray[np.intp], bool] | None:
+    """:func:`_sort_order` from one sort of packed int64 keys, or None when the keys
+    cannot give it in a few blocks' memory.
+
+    Each row's :func:`_float_keys` key keeps its top ``64 - b`` bits, with
+    ``b = (n - 1).bit_length()``, and takes the row's number in its low ``b`` bits.  One
+    ``np.sort`` of these packed keys puts the rows in the order of their values, rows that
+    share their key's top bits in the order of their numbers; the low bits are then the
+    order.  Only such a run of shared top bits can be out of order, and a run in which a
+    larger key comes before a smaller one is put in the order of (key, row), which is the
+    stable order of its values.  None is returned, once the keys are dropped, for a NaN
+    (numpy puts every NaN last, the keys put a NaN with the sign bit first and order NaNs
+    by payload) and for runs to reorder that hold more than ``BLOCK_ROWS`` rows (values
+    within about ``2**b`` ulps of each other), which :func:`_sort_runs` would need
+    full-length temporaries for.  The keys are made and scanned a block of rows at a
+    time, so the order is the one full-length array.
     """
+    n = values.size
+    shift = max(n - 1, 0).bit_length()
+    low = (1 << shift) - 1  # the bits that hold the row number
+    keys = _packed_keys(values, shift)
+    # a NaN with the sign bit sorts below -inf's run, any other into or past inf's
+    if n and (keys[0] < -_INF_KEY
+              or np.isnan(values[keys[np.searchsorted(keys, _INF_KEY):] & low]).any()):
+        return None
+    distinct = True
+    for start in range(0, n - 1, BLOCK_ROWS):
+        pairs = keys[start:start + BLOCK_ROWS + 1]  # each block and the next row
+        tops = pairs >> shift
+        near = np.flatnonzero(tops[1:] == tops[:-1])
+        if near.size:
+            left, right = (_float_keys(values[pairs[near + side] & low]) for side in (0, 1))
+            distinct &= not np.any(left == right)
+            wrong = left > right
+            if wrong.any():
+                fixed = _sort_runs(values, keys, tops[near[wrong]], shift)
+                if fixed is None:
+                    return None
+                distinct &= fixed
+    keys &= low
+    return keys, distinct
+
+
+def _sort_runs(values: NDArray[np.float64], keys: NDArray[np.int64], tops: NDArray[np.int64],
+               shift: int) -> bool | None:
+    """Put each run of sorted packed ``keys`` (see :func:`_packed_order`) whose top bits
+    are one of ``tops`` in the stable order of its rows' values, and say whether those
+    values are distinct; or, leaving ``keys`` as they are, return None when the runs
+    hold more than ``BLOCK_ROWS`` rows, so the temporaries stay a block's size.  A run
+    can be out of order, but every key of it lies between those of the runs before and
+    after, so the runs are found by binary search."""
+    low = (1 << shift) - 1
+    tops = tops[np.append(True, tops[1:] != tops[:-1])] << shift  # sorted, so repeats are adjacent
+    firsts = np.searchsorted(keys, tops)
+    ends = np.searchsorted(keys, tops | low, side="right")
+    if (ends - firsts).sum() > BLOCK_ROWS:
+        return None
+    places = np.concatenate([np.arange(first, end)
+                             for first, end in zip(firsts.tolist(), ends.tolist())])
+    run = keys[places]
+    ordered = _float_keys(values[run & low])
+    by_value = np.argsort(ordered, kind="stable")  # the runs are in key order already
+    keys[places] = run[by_value]
+    ordered = ordered[by_value]
+    return not np.any(ordered[1:] == ordered[:-1])
+
+
+def _stable_order(values: NDArray[np.float64]) -> tuple[NDArray[np.intp], bool]:
+    """:func:`_sort_order` from numpy's argsorts.  The default argsort is several times
+    faster than the stable one, but may order equal values either way.  When the order
+    it finds is strictly increasing the values are distinct, only one permutation sorts
+    them, and it is the stable order.  Otherwise (ties, -0.0 next to 0.0, NaN) the
+    stable argsort is run instead, once the fast order is dropped.  The values are read
+    in sorted order a block of rows at a time, so no sorted copy is made."""
     order = np.argsort(values)
     blocks = (values[order[start:start + BLOCK_ROWS + 1]]  # each block and the next row
               for start in range(0, order.size, BLOCK_ROWS))
@@ -597,20 +701,21 @@ def _doubled_ranks(values: NDArray) -> tuple[NDArray[np.int32], bool, int]:
     it for n up to about 1e9.  The ranks are scattered a block of rows at a time: for
     distinct values each row's is twice its place in the order plus 2, and a run of
     equal values from place ``f`` to ``l`` takes ``f + l + 2``, its ``f`` carried
-    forward through the order and its ``l`` backward."""
+    forward through the order and its ``l`` backward.  Distinct values' ranks are
+    2, 4, ..., 2n, whose spread is ``(n**3 - n) / 3``."""
     order, distinct = _sort_order(values)
     n = order.size
     if distinct:
         ranks = _places(order)
         ranks *= 2
         ranks += 2
-    else:
-        ranks = np.empty(n, dtype=np.int32)
-        for rows, firsts in _run_starts(values, order):
-            ranks[rows] = firsts
-        for rows, firsts in _run_starts(values, order[::-1]):  # l = n - 1 - f of the reversed order
-            ranks[rows] += n + 1 - firsts
-    return ranks, distinct, _rank_dot(ranks, ranks)
+        return ranks, True, (n * n - 1) * n // 3
+    ranks = np.empty(n, dtype=np.int32)
+    for rows, firsts in _run_starts(values, order):
+        ranks[rows] = firsts
+    for rows, firsts in _run_starts(values, order[::-1]):  # l = n - 1 - f of the reversed order
+        ranks[rows] += n + 1 - firsts
+    return ranks, False, _rank_dot(ranks, ranks)
 
 
 def _rank_dot(x: NDArray[np.int32], y: NDArray[np.int32]) -> int:
@@ -625,11 +730,15 @@ def _rank_dot(x: NDArray[np.int32], y: NDArray[np.int32]) -> int:
     return total - n * (n + 1) ** 2
 
 
-def _stable_places(values: NDArray, ranks: NDArray[np.int32], distinct: bool) -> NDArray[np.int32]:
-    """Each row's place in the stable order of ``values``, given their :func:`_doubled_ranks`."""
+def _stable_places(values: NDArray, ranks: NDArray[np.int32], distinct: bool) -> NDArray:
+    """Each row's place in the stable order of ``values``, given their :func:`_doubled_ranks`:
+    for distinct values as intp, which numpy would cast an int32 index array to at each
+    use, and else as int32, from a second :func:`_sort_order`."""
     if distinct:
-        return ranks // 2 - 1
-    return _places(np.argsort(values, kind="stable"))
+        places = np.floor_divide(ranks, 2, dtype=np.intp)
+        places -= 1
+        return places
+    return _places(_sort_order(values)[0])
 
 
 def _within_bin_share(ranks: NDArray[np.int32], spread: int, places: NDArray, bins: int) -> float:
@@ -742,45 +851,59 @@ def run_audit(A: Mixing2, p: MpaParams, n: int, seed: int, **options) -> AuditRe
     return audit_pair(Z, Zp, maps=(A, p, X), settings=settings)
 
 
-def _check_premises(
+def _premise_checks(
     Z: Dataset,
     Zp: Dataset,
     maps: tuple[Mixing2, MpaParams, Dataset] | None,
     settings: AuditSettings,
-) -> tuple[tuple[Premise, ...], float]:
-    """Every check of :func:`audit_pair` but the relation: premises and uniformity p-value."""
-    if maps is None:
+) -> list[Callable[[], tuple]]:
+    """Every check of :func:`audit_pair` but the relation, each ready to call, in the
+    order that the worker takes them: with ``maps``, the two continuity sweeps and the
+    sigma-algebra premise; then compact support of ``Z`` and ``Z'``, their support grids
+    and the uniformity of ``Z'``.  :func:`_premises` reads their results."""
+    checks = []
+    if maps is not None:
+        A, p, X = maps
+        x_box = cache(lambda: bounding_box(X.points))  # made by the first sweep, on its thread
+
+        def continuity(f, stream):
+            return check_continuity(f, x_box(), seed=[Z.seed, stream], l_max=settings.l_max)
+        checks += [
+            partial(continuity, lambda x: unmix(A, x), 1),
+            partial(continuity, lambda x: mpa_forward(p, unmix(A, x)), 2),
+            partial(check_sigma_algebra_proxy, Z, Zp, lambda z: mpa_forward(p, z),
+                    lambda zp: mpa_inverse(p, zp)),
+        ]
+    return checks + [
+        partial(check_compact_support, Z, _SQUARE),
+        partial(check_compact_support, Zp, _SQUARE),
+        partial(check_independent_support, Z, settings.bins_support),
+        partial(check_independent_support, Zp, settings.bins_support),
+        partial(check_uniformity, Zp, settings.bins_uniformity),
+    ]
+
+
+def _premises(results: list, maps_given: bool,
+              settings: AuditSettings) -> tuple[tuple[Premise, ...], float]:
+    """The premises and the uniformity p-value, from the results of :func:`_premise_checks`."""
+    if maps_given:
+        (f_pass, f_ratio), (fp_pass, fp_ratio), (sigma_pass, sigma_err), *results = results
+        map_premises = (
+            Premise("continuity", f_pass and fp_pass, max(f_ratio, fp_ratio), settings.l_max),
+            Premise("sigma-algebra", sigma_pass, sigma_err, SIGMA_PROXY_TOL),
+        )
+    else:
         note = {"note": "not-applicable: no analytic maps supplied"}
         map_premises = (
             Premise("continuity", None, None, settings.l_max, note),
             Premise("sigma-algebra", None, None, SIGMA_PROXY_TOL, note),
         )
-    else:
-        A, p, X = maps
-        x_box = bounding_box(X.points)
-        f_pass, f_ratio = check_continuity(
-            lambda x: unmix(A, x), x_box, seed=[Z.seed, 1], l_max=settings.l_max
-        )
-        fp_pass, fp_ratio = check_continuity(
-            lambda x: mpa_forward(p, unmix(A, x)), x_box, seed=[Z.seed, 2], l_max=settings.l_max
-        )
-        sigma_pass, sigma_err = check_sigma_algebra_proxy(
-            Z, Zp, lambda z: mpa_forward(p, z), lambda zp: mpa_inverse(p, zp)
-        )
-        map_premises = (
-            Premise("continuity", f_pass and fp_pass, max(f_ratio, fp_ratio), settings.l_max),
-            Premise("sigma-algebra", sigma_pass, sigma_err, SIGMA_PROXY_TOL),
-        )
-
-    z_ok, z_box = check_compact_support(Z, _SQUARE)
-    zp_ok, zp_box = check_compact_support(Zp, _SQUARE)
+    (z_ok, z_box), (zp_ok, zp_box), (is_z, frac_z), (is_zp, frac_zp), pvalue = results
     union_box = np.column_stack(
         [np.minimum(z_box[:, 0], zp_box[:, 0]), np.maximum(z_box[:, 1], zp_box[:, 1])]
     )
     square = np.array(_SQUARE)  # the statistic: how far the union box reaches past it
     overshoot = max((square[:, 0] - union_box[:, 0]).max(), (union_box[:, 1] - square[:, 1]).max())
-    is_z, frac_z = check_independent_support(Z, settings.bins_support)
-    is_zp, frac_zp = check_independent_support(Zp, settings.bins_support)
     premises = (
         *map_premises,
         Premise("compact-support", z_ok and zp_ok, float(overshoot),
@@ -788,7 +911,7 @@ def _check_premises(
         Premise("independent-support-Z", is_z, frac_z, 1.0),
         Premise("independent-support-Zprime", is_zp, frac_zp, 1.0),
     )
-    return premises, check_uniformity(Zp, settings.bins_uniformity)
+    return premises, pvalue
 
 
 def audit_pair(
@@ -813,23 +936,38 @@ def audit_pair(
     :class:`PairingError`, and an ``n`` below any floor of :data:`SAMPLE_FLOORS`
     raises one :class:`UndersampledError` that names every floor missed.
 
-    The relation check runs on this thread while a worker thread runs every other
-    check: continuity, the sigma-algebra premise, compact support, the two support
-    grids and uniformity.  Every check is a pure function of the read-only clouds,
-    and numpy releases the interpreter lock in their sorts, gathers and loops, so the
-    report is the one a single thread makes.  The audit's largest temporaries, the
-    relation check's, so come from the heap that made the clouds, not from a second
-    allocator arena; the worker's stay small, since its checks work in blocks of
-    rows.  The worker is joined before this function returns or raises, so a process
-    that forks around the audit (the CLI's cloud writers) never forks with a live thread.
+    Every check but the relation is queued, one task each, to a worker thread: the
+    two continuity sweeps, the sigma-algebra premise, compact support of ``Z`` and
+    ``Z'``, their two support grids and uniformity.  This thread runs the relation
+    check, then takes the queue's unstarted tasks from its tail, one at a time, until
+    the worker has started the next; so both threads finish together, whichever half
+    is the longer at this ``n``.  numpy releases the interpreter lock in the checks'
+    sorts, gathers and loops, so the threads overlap; every check is a pure function
+    of the read-only clouds, so the report is the one a single thread makes.  A
+    failing check raises its own error: the relation's, or else the first in queue
+    order, whichever thread ran it.  The audit's largest temporaries, the relation
+    check's, come from the heap that made the clouds, not from a second allocator
+    arena; the other checks' stay small on either thread, since they work in blocks
+    of rows.  The worker is joined before this function returns or raises, so a
+    process that forks around the audit (the CLI's cloud writers) never forks with a
+    live thread.
     """
     _require_paired(Z, Zp)
     _require_samples(Z.n, **{key: getattr(settings, key) for _, key, _ in SAMPLE_FLOORS})
-    from concurrent.futures import ThreadPoolExecutor  # here, so that importing stays fast
+    from concurrent.futures import Future, ThreadPoolExecutor  # here, so that importing stays fast
 
+    checks = _premise_checks(Z, Zp, maps, settings)
     with ThreadPoolExecutor(max_workers=1) as worker:
-        checked = worker.submit(_check_premises, Z, Zp, maps, settings)
+        queued = [worker.submit(check) for check in checks]
         conclusion = check_coordinatewise_relation(Z, Zp, bins=settings.bins_relation,
                                                    threshold=settings.functional_threshold)
-    premises, pvalue = checked.result()
+        for k in reversed(range(len(checks))):
+            if not queued[k].cancel():  # the worker has started it, and every task before it
+                break
+            queued[k] = Future()
+            try:
+                queued[k].set_result(checks[k]())
+            except Exception as error:  # kept, as the worker keeps its own, to raise in queue order
+                queued[k].set_exception(error)
+    premises, pvalue = _premises([done.result() for done in queued], maps is not None, settings)
     return AuditReport(premises, pvalue, settings.alpha, conclusion)

@@ -16,7 +16,7 @@ import numpy as np
 
 from swirlaudit.audits import AuditSettings
 from swirlaudit.errors import ConfigError
-from swirlaudit.transforms import Mixing2, MpaParams, integer_problem, swirl_problems
+from swirlaudit.transforms import Mixing2, MpaParams, integer_problem, real_problem, swirl_problems
 
 __all__ = ["RunConfig", "load_config"]
 
@@ -74,6 +74,10 @@ class RunConfig(AuditSettings):
             problems.append(f"degenerate_a: must be a bool, got {self.degenerate_a!r}")
         problems += swirl_problems(self.a, self.c, self.degenerate_a)
         try:
+            # the entries of bytes are ints: b"1234" would pass as (49, 50, 51, 52)
+            if isinstance(self.mixing, (bytes, bytearray)) or any(
+                    real_problem("A", entry) for entry in self.mixing):
+                raise TypeError
             if len(self.mixing) != 4:
                 raise ValueError(f"expected 4 entries (row-major), got {len(self.mixing)}")
             Mixing2.from_rows(*self.mixing)

@@ -103,10 +103,17 @@ def integer_problem(key: str, value, lowest: int) -> str | None:
     return f"{key}: must be >= {lowest}, got {value}" if value < lowest else None
 
 
+def real_problem(key: str, value) -> str | None:
+    """Why ``value`` is no real number (a bool is none), led by ``key``; else None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return f"{key}: must be a real number, got {value!r}"
+    return None
+
+
 def swirl_problems(a, c, degenerate: bool) -> list[str]:
     """One message per rule that the swirl's ``a`` and ``c`` break, led by the key it names."""
-    problems = [f"{key}: must be a real number, got {value!r}"
-                for key, value in (("a", a), ("c", c)) if not isinstance(value, numbers.Real)]
+    problems = [problem for key, value in (("a", a), ("c", c))
+                if (problem := real_problem(key, value))]
     if problems:
         return problems
     if not 0.0 < c < 1.0:

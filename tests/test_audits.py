@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -644,7 +645,8 @@ class CheckFailed(RuntimeError):
     pass
 
 
-# the checks that audit_pair's worker runs, in order, while the calling thread runs the relation
+# the checks that audit_pair queues to its worker, in queue order, while the calling thread
+# runs the relation and then takes the queue's unstarted tail
 WORKER_ORDER = ("check_continuity", "check_continuity", "check_sigma_algebra_proxy",
                 "check_compact_support", "check_compact_support", "check_independent_support",
                 "check_independent_support", "check_uniformity")
@@ -659,10 +661,55 @@ def test_worker_error_reaches_the_caller_with_its_type(monkeypatch):
     with pytest.raises(CheckFailed, match="sigma-algebra"):
         run_audit(default_mixing(), default_swirl(), 10_000, 1)
     assert threading.active_count() == threads
-    # the relation ran on the calling thread, the map checks up to the failing one on the worker
+    # the relation ran on the calling thread, and every queued check ran once, on either thread
     assert ("check_coordinatewise_relation", True) in ran
-    assert [entry for entry in ran if entry[0] != "check_coordinatewise_relation"] == [
-        (name, False) for name in WORKER_ORDER[:3]]
+    assert sorted(name for name, _ in ran) == sorted(
+        WORKER_ORDER + ("check_coordinatewise_relation",))
+
+
+def first_check_slowed(started, then=lambda check, *args, **kwargs: check(*args, **kwargs)):
+    """Wrappers for ``record_check_calls``: the first continuity sweep sets ``started``,
+    sleeps and calls ``then``; the relation waits for ``started`` before it runs."""
+    def wrap(name, check):
+        def first_slow(*args, **kwargs):
+            if started.is_set():
+                return check(*args, **kwargs)
+            started.set()
+            time.sleep(0.5)
+            return then(check, *args, **kwargs)
+
+        def after_start(*args, **kwargs):
+            assert started.wait(timeout=10)
+            return check(*args, **kwargs)
+        return {"check_continuity": first_slow,
+                "check_coordinatewise_relation": after_start}.get(name, check)
+    return wrap
+
+
+def test_calling_thread_takes_the_unstarted_tail_of_the_queue(monkeypatch):
+    A, p = default_mixing(), default_swirl()
+    unslowed = run_audit(A, p, 20_000, 1)
+    ran = record_check_calls(monkeypatch, first_check_slowed(threading.Event()))
+    threads = threading.active_count()
+    assert run_audit(A, p, 20_000, 1) == unslowed
+    assert threading.active_count() == threads
+    # the worker sleeps in the first sweep, so this thread runs the relation and every later check
+    assert sorted(ran) == sorted(
+        [("check_continuity", False), ("check_coordinatewise_relation", True)]
+        + [(name, True) for name in WORKER_ORDER[1:]])
+
+
+def test_the_first_failing_check_in_queue_order_raises_whichever_thread_ran_it(monkeypatch):
+    def failing(check, *args, **kwargs):
+        raise CheckFailed(check.__name__)
+
+    wrap = first_check_slowed(threading.Event(), then=failing)
+    ran = record_check_calls(monkeypatch, lambda name, check: (
+        partial(failing, check) if name == "check_uniformity" else wrap(name, check)))
+    with pytest.raises(CheckFailed, match="^check_continuity$"):
+        run_audit(default_mixing(), default_swirl(), 20_000, 1)
+    # the last check failed first, on this thread, while the worker slept in the first
+    assert ("check_uniformity", True) in ran
 
 
 def test_error_on_the_calling_thread_still_joins_the_worker(monkeypatch):
@@ -722,10 +769,16 @@ def test_run_audit_verdicts_stable_in_sample_size():
 # fast paths against the code they replaced
 
 
-@settings(max_examples=60, deadline=None)
+# values for the "specials" kind: NaN of either sign, the infinities, subnormals and zeros
+SPECIAL_VALUES = (np.copysign(np.nan, -1.0), np.nan, -np.inf, np.inf, -5e-324, 5e-324,
+                  -2.2e-308, 1e-310, -0.0, 0.0, -1.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
 @given(
-    size=st.sampled_from([1, 2, 1000]),
-    kind=st.sampled_from(["distinct", "ties", "signed-zeros"]),
+    size=st.sampled_from([1, 2, 1000, 2**14 - 1, 2**14, 2**14 + 1]),
+    kind=st.sampled_from(["distinct", "ties", "signed-zeros", "ulps", "ulps-tied", "specials",
+                          "specials-no-nan", "one-zero-sign"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_sort_order_equals_stable_argsort(size, kind, seed):
@@ -735,18 +788,44 @@ def test_sort_order_equals_stable_argsort(size, kind, seed):
         v = np.round(v, 1)
     elif kind == "signed-zeros":
         v = np.where(rng.random(size) < 0.5, v, rng.choice([-0.0, 0.0], size))
+    elif kind == "ulps":  # a few ulps apart, so the packed keys' top bits collide
+        v = 1.0 + rng.permutation(size) * 2.0**-52
+    elif kind == "ulps-tied":
+        v = 1.0 + rng.integers(0, size // 2 + 1, size) * 2.0**-52
+    elif kind == "specials":
+        v = np.where(rng.random(size) < 0.5, v, rng.choice(SPECIAL_VALUES, size))
+    elif kind == "specials-no-nan":
+        v = np.where(rng.random(size) < 0.5, v, rng.choice(SPECIAL_VALUES[2:], size))
+    elif kind == "one-zero-sign":  # one sign of zero, beside the subnormals
+        v = np.where(rng.random(size) < 0.5, v, rng.choice(SPECIAL_VALUES[4:8] + (-0.0,), size))
     order, distinct = _sort_order(v)
     assert order.dtype == np.intp
     assert np.array_equal(order, np.argsort(v, kind="stable"))
-    assert distinct == bool(np.all(np.diff(v[order]) > 0))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert distinct == bool(np.all(np.diff(v[order]) > 0))
 
 
 def test_sort_order_keeps_signed_zeros_and_nan_in_stable_order():
-    for v in ([0.0, -0.0], [-0.0, 0.0, -0.0, 1.0], [np.nan, 1.0, 0.0, np.nan]):
+    negative_nan = np.copysign(np.nan, -1.0)
+    for v in ([0.0, -0.0], [-0.0, 0.0, -0.0, 1.0], [np.nan, 1.0, 0.0, np.nan],
+              [negative_nan, 1.0, np.nan, -np.inf, negative_nan]):
         v = np.array(v)
         order, distinct = _sort_order(v)
         assert np.array_equal(order, np.argsort(v, kind="stable"))
         assert not distinct
+
+
+def test_sort_order_of_a_strided_column_equals_stable_argsort():
+    # the clouds' columns are strided views; 0.5 and the two floats above it share their
+    # packed keys' top bits, so their rows, interleaved, make one run to put in order
+    points = np.random.default_rng(5).random((50_000, 2))
+    points[::7, 0] = 0.5
+    points[::11, 0] = np.nextafter(0.5, 1.0)
+    points[::13, 0] = np.nextafter(np.nextafter(0.5, 1.0), 1.0)
+    for column in points.T:
+        order, distinct = _sort_order(column)
+        assert np.array_equal(order, np.argsort(column, kind="stable"))
+        assert distinct == bool(np.all(np.diff(column[order]) > 0))
 
 
 def _reference_ratio(binning, dependent, bins):
@@ -997,16 +1076,25 @@ def test_blocked_rank_sums_equal_python_integer_sums(n, data, bins):
                              reference_relation(Z, Zp, bins=bins))
 
 
-@pytest.mark.parametrize("decimals", [None, 2])
-def test_relation_peak_memory_is_at_most_32_bytes_per_row(decimals):
+@pytest.mark.parametrize("kind", [None, 2, "ulps"])
+def test_relation_peak_memory_is_at_most_32_bytes_per_row(kind):
     # 16 bytes per row for the four int32 rank columns, and at most one full-length
-    # working pair beside them: an argsort order, or an int32 places-and-scatter pair;
-    # decimals=2 takes the tied path, its stable sorts and run scans
+    # working pair beside them: the packed sort keys, or a places-and-scatter pair;
+    # kind=2 rounds to 2 decimals and takes the tied path, its second sorts and run
+    # scans; "ulps" puts every value of a column within n ulps of 1, so each column's
+    # packed keys share their top bits and make one run too long to reorder in blocks
     n = 200_000
     Z, Zp = paired(n=n, seed=3)
-    if decimals is not None:
-        Z = Dataset(points=np.round(Z.points, decimals), label=LATENT_Z, seed=3)
-        Zp = as_zprime(np.round(Zp.points, decimals), seed=3)
+    if kind == "ulps":
+        rng = np.random.default_rng(3)
+
+        def near_one():  # two columns, each 1 plus a shuffled 0, ..., n - 1 ulps
+            return 1.0 + rng.permuted(np.tile(np.arange(n), (2, 1)), axis=1).T * 2.0**-52
+        Z = Dataset(points=near_one(), label=LATENT_Z, seed=3)
+        Zp = as_zprime(near_one(), seed=3)
+    elif kind is not None:
+        Z = Dataset(points=np.round(Z.points, kind), label=LATENT_Z, seed=3)
+        Zp = as_zprime(np.round(Zp.points, kind), seed=3)
     tracemalloc.start()
     try:
         check_coordinatewise_relation(Z, Zp)

@@ -109,6 +109,16 @@ def test_refused_config_line_names_its_key(tmp_path, text, prefix):
     ({"output_dir": 5}, "output_dir"),
     ({"degenerate_a": 1, "a": 0.0}, "degenerate_a"),  # was accepted and written as 1
     ({"mixing": 5}, "A"),  # raised a bare TypeError from len
+    # each of these was stored as numbers: b"1234" as (49.0, 50.0, 51.0, 52.0), True as 1.0
+    ({"mixing": b"1234"}, "A"),
+    ({"mixing": "1234"}, "A"),
+    ({"mixing": ("1", "0.5", "0", "1")}, "A"),
+    ({"mixing": (1.0, True, 0.0, 1.0)}, "A"),
+    ({"l_max": True}, "l_max"),
+    ({"alpha": False}, "alpha"),
+    ({"functional_threshold": "0.01"}, "functional_threshold"),
+    ({"a": True}, "a"),
+    ({"c": True}, "c"),
 ])
 def test_run_config_refuses_what_is_no_integer_or_real_by_key(kwargs, key):
     with pytest.raises(ConfigError, match=rf"^invalid configuration:\n  {key}: must be "):
