@@ -342,7 +342,13 @@ def check_continuity(
     ``d`` of length ``CONTINUITY_DELTA`` (1e-7).  Passes iff the largest
     observed ratio stays at or below ``l_max``.  This can falsify continuity
     (a jump crossed by some pair produces a ratio of order 1e7) but can never
-    prove it.
+    prove it, and it almost never sees a jump along a curve: a pair straddles
+    the curve with probability ``(2 / pi) * length * 1e-7 / area`` of the box,
+    ~6e-5 per sweep of 1000 pairs for the circle r = 0.9 behind the default
+    shear mixing.  A map that rotates the disc r <= c by a fixed angle, a
+    measure-preserving bijection that jumps on r = c, passes every premise in
+    the swirl's place and is certified as a counterexample in 10 of 10 runs
+    (n = 1e5 and 1e6).
 
     Returns
     -------
@@ -548,16 +554,12 @@ def check_uniformity(D: Dataset, bins: int) -> float:
 # A float64's bits but its sign; see _float_keys.
 _MAGNITUDE = 0x7FFF_FFFF_FFFF_FFFF
 
-# The key of inf; -_INF_KEY is the key of -inf.
-_INF_KEY = 0x7FF0_0000_0000_0000
-
 
 def _float_keys(values: NDArray[np.float64], out: NDArray[np.int64] | None = None
                 ) -> NDArray[np.int64]:
-    """Each float64's bits as an int64 that sorts as the float does: its magnitude bits,
-    negated for a float with the sign bit, so -0.0 and 0.0 share the key 0.  Unlike the
-    floats, the keys put a NaN with the sign bit below -inf and any other NaN above inf,
-    each by its payload.  ``out``, if given, receives the keys."""
+    """Each float64's bits as an int64 that sorts as the float does, NaN aside: its
+    magnitude bits, negated for a float with the sign bit, so -0.0 and 0.0 share the key
+    0.  ``out``, if given, receives the keys."""
     bits = values.view(np.int64)
     signs = bits >> 63  # -1 for the sign bit, else 0
     keys = np.bitwise_and(bits, _MAGNITUDE, out=out)
@@ -580,16 +582,11 @@ def _packed_keys(values: NDArray[np.float64], shift: int) -> NDArray[np.int64]:
 
 
 def _sort_order(values: NDArray[np.float64]) -> tuple[NDArray[np.intp], bool]:
-    """The stable ascending order of float64 ``values``, and whether the ordered values
-    strictly increase (a NaN is never greater than another value).  The result equals
-    ``np.argsort(values, kind="stable")``; it comes from :func:`_packed_order` when
-    that can make it, and else from numpy's argsorts (:func:`_stable_order`)."""
-    return _packed_order(values) or _stable_order(values)
-
-
-def _packed_order(values: NDArray[np.float64]) -> tuple[NDArray[np.intp], bool] | None:
-    """:func:`_sort_order` from one sort of packed int64 keys, or None when the keys
-    cannot give it in a few blocks' memory.
+    """The stable ascending order of float64 ``values``, equal to
+    ``np.argsort(values, kind="stable")``, and whether the ordered values strictly
+    increase, from one sort of packed int64 keys.  The values hold no NaN (numpy puts
+    every NaN last, their keys would not) and number at most ``2**31`` (see
+    :func:`_sort_runs`); every caller sorts the finite coordinates of a :class:`Dataset`.
 
     Each row's :func:`_float_keys` key keeps its top ``64 - b`` bits, with
     ``b = (n - 1).bit_length()``, and takes the row's number in its low ``b`` bits.  One
@@ -597,21 +594,14 @@ def _packed_order(values: NDArray[np.float64]) -> tuple[NDArray[np.intp], bool] 
     share their key's top bits in the order of their numbers; the low bits are then the
     order.  Only such a run of shared top bits can be out of order, and a run in which a
     larger key comes before a smaller one is put in the order of (key, row), which is the
-    stable order of its values.  None is returned, once the keys are dropped, for a NaN
-    (numpy puts every NaN last, the keys put a NaN with the sign bit first and order NaNs
-    by payload) and for runs to reorder that hold more than ``BLOCK_ROWS`` rows (values
-    within about ``2**b`` ulps of each other), which :func:`_sort_runs` would need
-    full-length temporaries for.  The keys are made and scanned a block of rows at a
-    time, so the order is the one full-length array.
+    stable order of its values, by :func:`_sort_runs`.  A run of equal values is in that
+    order already.  The keys are made and scanned a block of rows at a time, so the order
+    is the one full-length array.
     """
     n = values.size
     shift = max(n - 1, 0).bit_length()
     low = (1 << shift) - 1  # the bits that hold the row number
     keys = _packed_keys(values, shift)
-    # a NaN with the sign bit sorts below -inf's run, any other into or past inf's
-    if n and (keys[0] < -_INF_KEY
-              or np.isnan(values[keys[np.searchsorted(keys, _INF_KEY):] & low]).any()):
-        return None
     distinct = True
     for start in range(0, n - 1, BLOCK_ROWS):
         pairs = keys[start:start + BLOCK_ROWS + 1]  # each block and the next row
@@ -622,52 +612,58 @@ def _packed_order(values: NDArray[np.float64]) -> tuple[NDArray[np.intp], bool] 
             distinct &= not np.any(left == right)
             wrong = left > right
             if wrong.any():
-                fixed = _sort_runs(values, keys, tops[near[wrong]], shift)
-                if fixed is None:
-                    return None
-                distinct &= fixed
+                distinct &= _sort_runs(values, keys, tops[near[wrong]], shift)
     keys &= low
     return keys, distinct
 
 
 def _sort_runs(values: NDArray[np.float64], keys: NDArray[np.int64], tops: NDArray[np.int64],
-               shift: int) -> bool | None:
-    """Put each run of sorted packed ``keys`` (see :func:`_packed_order`) whose top bits
+               shift: int) -> bool:
+    """Put each run of sorted packed ``keys`` (see :func:`_sort_order`) whose top bits
     are one of ``tops`` in the stable order of its rows' values, and say whether those
-    values are distinct; or, leaving ``keys`` as they are, return None when the runs
-    hold more than ``BLOCK_ROWS`` rows, so the temporaries stay a block's size.  A run
-    can be out of order, but every key of it lies between those of the runs before and
-    after, so the runs are found by binary search."""
+    values are distinct.  A run can be out of order, but every key of it lies between
+    those of the runs before and after, so the runs are found by binary search.
+
+    The runs all meet one block of rows, so those of at most ``BLOCK_ROWS`` rows hold
+    at most ``3 * BLOCK_ROWS`` together: they are gathered, put in order by one stable
+    argsort of their values' keys, and scattered back.  A longer run is sorted in place.
+    Its keys share their top bits, so, a block of rows at a time, each is rewritten as
+    its value's key's low ``b`` bits above its row number: sorted, these are in the order
+    of (value, row), equal values share their high bits, and the run's top bits are then
+    put back above the row numbers, so that later runs are still found by binary search.
+    That needs ``2 * b <= 62``: n at most ``2**31``."""
     low = (1 << shift) - 1
     tops = tops[np.append(True, tops[1:] != tops[:-1])] << shift  # sorted, so repeats are adjacent
     firsts = np.searchsorted(keys, tops)
-    ends = np.searchsorted(keys, tops | low, side="right")
-    if (ends - firsts).sum() > BLOCK_ROWS:
-        return None
-    places = np.concatenate([np.arange(first, end)
-                             for first, end in zip(firsts.tolist(), ends.tolist())])
+    sizes = np.searchsorted(keys, tops | low, side="right") - firsts
+    short = sizes <= BLOCK_ROWS
+    distinct = True
+    for top, first, size in zip(tops[~short].tolist(), firsts[~short].tolist(),
+                                sizes[~short].tolist()):
+        run = keys[first:first + size]
+        for start in range(0, size, BLOCK_ROWS):
+            block = run[start:start + BLOCK_ROWS]
+            rows = block & low
+            _float_keys(values[rows], out=block)
+            block &= low
+            block <<= shift
+            block |= rows
+        run.sort()
+        for start in range(0, size, BLOCK_ROWS):
+            high = run[start:start + BLOCK_ROWS + 1] >> shift  # each block and the next row
+            distinct &= not np.any(high[1:] == high[:-1])
+            block = run[start:start + BLOCK_ROWS]
+            block &= low
+            block |= top
+    sizes = sizes[short]
+    places = np.repeat(firsts[short] - (np.cumsum(sizes) - sizes), sizes)
+    places += np.arange(places.size)
     run = keys[places]
     ordered = _float_keys(values[run & low])
     by_value = np.argsort(ordered, kind="stable")  # the runs are in key order already
     keys[places] = run[by_value]
     ordered = ordered[by_value]
-    return not np.any(ordered[1:] == ordered[:-1])
-
-
-def _stable_order(values: NDArray[np.float64]) -> tuple[NDArray[np.intp], bool]:
-    """:func:`_sort_order` from numpy's argsorts.  The default argsort is several times
-    faster than the stable one, but may order equal values either way.  When the order
-    it finds is strictly increasing the values are distinct, only one permutation sorts
-    them, and it is the stable order.  Otherwise (ties, -0.0 next to 0.0, NaN) the
-    stable argsort is run instead, once the fast order is dropped.  The values are read
-    in sorted order a block of rows at a time, so no sorted copy is made."""
-    order = np.argsort(values)
-    blocks = (values[order[start:start + BLOCK_ROWS + 1]]  # each block and the next row
-              for start in range(0, order.size, BLOCK_ROWS))
-    if all(np.all(ordered[1:] > ordered[:-1]) for ordered in blocks):
-        return order, True
-    del order, blocks  # one order alive at a time
-    return np.argsort(values, kind="stable"), False
+    return distinct and not np.any(ordered[1:] == ordered[:-1])
 
 
 def _places(order: NDArray[np.intp]) -> NDArray[np.int32]:
@@ -733,7 +729,8 @@ def _rank_dot(x: NDArray[np.int32], y: NDArray[np.int32]) -> int:
 def _stable_places(values: NDArray, ranks: NDArray[np.int32], distinct: bool) -> NDArray:
     """Each row's place in the stable order of ``values``, given their :func:`_doubled_ranks`:
     for distinct values as intp, which numpy would cast an int32 index array to at each
-    use, and else as int32, from a second :func:`_sort_order`."""
+    use, and else as int32, from a second :func:`_sort_order` of the column: the first's
+    order is not kept, so that the relation check holds at most 32 bytes a row."""
     if distinct:
         places = np.floor_divide(ranks, 2, dtype=np.intp)
         places -= 1

@@ -70,8 +70,8 @@ def swirl_profile(Z: Dataset, Zp: Dataset, bin_width: float = 0.01) -> NDArray:
     carry ``count = 0`` and NaN means.
     """
     _require_paired(Z, Zp)
-    if not bin_width > 0.0:
-        raise ValueError(f"bin width must be positive, got {bin_width}")
+    if not 0.0 < bin_width < math.inf:
+        raise ValueError(f"bin width must be positive and finite, got {bin_width}")
     (z1, z2), (w1, w2) = Z.points.T, Zp.points.T
     radii = Z.radii()
     order = _sort_order(radii)[0][::-1]
@@ -110,8 +110,8 @@ def render_scatter_svg(
     """
     pts = np.asarray(points, dtype=np.float64)
     lo, hi = axis_range
-    if not hi > lo:
-        raise ValueError(f"axis range must be increasing, got {axis_range}")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"axis range must be finite and increasing, got {axis_range}")
     size_px = 560
     pad = 20.0
     point_radius = 1.3

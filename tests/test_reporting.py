@@ -183,9 +183,14 @@ def read_blank_file(tmp_path):
     (read_blank_file, EmptyDatasetError, "empty"),
     (lambda tmp: swirl_profile(*[sa.sample_uniform_square(10, 0)] * 2, bin_width=0.0),
      ValueError, "bin width"),
+    (lambda tmp: swirl_profile(*[sa.sample_uniform_square(10, 0)] * 2, bin_width=np.inf),
+     ValueError, "bin width"),
     (lambda tmp: figures.render_scatter_svg(np.zeros((1, 2)), tmp / "s.svg", (1.0, -1.0)),
      ValueError, "axis range"),
-], ids=["write-header", "read-empty-file", "profile-bin-width", "svg-axis-range"])
+    (lambda tmp: figures.render_scatter_svg(np.zeros((1, 2)), tmp / "s.svg", (-np.inf, np.inf)),
+     ValueError, "axis range"),
+], ids=["write-header", "read-empty-file", "profile-bin-width", "profile-infinite-bin-width",
+        "svg-axis-range", "svg-infinite-axis-range"])
 def test_refused_inputs_raise_their_error(tmp_path, refused, error, key):
     with pytest.raises(error, match=key):
         refused(tmp_path)
