@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, fields
-from functools import cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -848,67 +848,59 @@ def run_audit(A: Mixing2, p: MpaParams, n: int, seed: int, **options) -> AuditRe
     return audit_pair(Z, Zp, maps=(A, p, X), settings=settings)
 
 
-def _premise_checks(
+def _report_tasks(
     Z: Dataset,
     Zp: Dataset,
     maps: tuple[Mixing2, MpaParams, Dataset] | None,
     settings: AuditSettings,
-) -> list[Callable[[], tuple]]:
-    """Every check of :func:`audit_pair` but the relation, each ready to call, in the
-    order that the worker takes them: with ``maps``, the two continuity sweeps and the
-    sigma-algebra premise; then compact support of ``Z`` and ``Z'``, their support grids
-    and the uniformity of ``Z'``.  :func:`_premises` reads their results."""
-    checks = []
-    if maps is not None:
-        A, p, X = maps
-        x_box = cache(lambda: bounding_box(X.points))  # made by the first sweep, on its thread
-
-        def continuity(f, stream):
-            return check_continuity(f, x_box(), seed=[Z.seed, stream], l_max=settings.l_max)
-        checks += [
-            partial(continuity, lambda x: unmix(A, x), 1),
-            partial(continuity, lambda x: mpa_forward(p, unmix(A, x)), 2),
-            partial(check_sigma_algebra_proxy, Z, Zp, lambda z: mpa_forward(p, z),
-                    lambda zp: mpa_inverse(p, zp)),
-        ]
-    return checks + [
-        partial(check_compact_support, Z, _SQUARE),
-        partial(check_compact_support, Zp, _SQUARE),
-        partial(check_independent_support, Z, settings.bins_support),
-        partial(check_independent_support, Zp, settings.bins_support),
-        partial(check_uniformity, Zp, settings.bins_uniformity),
-    ]
-
-
-def _premises(results: list, maps_given: bool,
-              settings: AuditSettings) -> tuple[tuple[Premise, ...], float]:
-    """The premises and the uniformity p-value, from the results of :func:`_premise_checks`."""
-    if maps_given:
-        (f_pass, f_ratio), (fp_pass, fp_ratio), (sigma_pass, sigma_err), *results = results
-        map_premises = (
-            Premise("continuity", f_pass and fp_pass, max(f_ratio, fp_ratio), settings.l_max),
-            Premise("sigma-algebra", sigma_pass, sigma_err, SIGMA_PROXY_TOL),
-        )
-    else:
+) -> list[Callable[[], Premise | float]]:
+    """Every check of :func:`audit_pair` but the relation, one task per entry of its
+    report and in the report's order: continuity (both sweeps, on X's bounding box),
+    sigma-algebra, compact support (both clouds), each cloud's support grid, each
+    returning its :class:`Premise`, and last the uniformity p-value of ``Z'``.
+    Without ``maps`` the first two are the unchecked premises."""
+    if maps is None:
         note = {"note": "not-applicable: no analytic maps supplied"}
-        map_premises = (
-            Premise("continuity", None, None, settings.l_max, note),
-            Premise("sigma-algebra", None, None, SIGMA_PROXY_TOL, note),
+        map_tasks = [partial(Premise, "continuity", None, None, settings.l_max, note),
+                     partial(Premise, "sigma-algebra", None, None, SIGMA_PROXY_TOL, note)]
+    else:
+        A, p, X = maps
+
+        def continuity() -> Premise:
+            box = bounding_box(X.points)
+            (f_pass, f_ratio), (fp_pass, fp_ratio) = (
+                check_continuity(f, box, seed=[Z.seed, stream], l_max=settings.l_max)
+                for stream, f in ((1, lambda x: unmix(A, x)),
+                                  (2, lambda x: mpa_forward(p, unmix(A, x)))))
+            return Premise("continuity", f_pass and fp_pass, max(f_ratio, fp_ratio),
+                           settings.l_max)
+
+        def sigma_algebra() -> Premise:
+            passed, error = check_sigma_algebra_proxy(Z, Zp, lambda z: mpa_forward(p, z),
+                                                      lambda zp: mpa_inverse(p, zp))
+            return Premise("sigma-algebra", passed, error, SIGMA_PROXY_TOL)
+
+        map_tasks = [continuity, sigma_algebra]
+
+    def compact_support() -> Premise:
+        (z_ok, z_box), (zp_ok, zp_box) = (check_compact_support(D, _SQUARE) for D in (Z, Zp))
+        union_box = np.column_stack(
+            [np.minimum(z_box[:, 0], zp_box[:, 0]), np.maximum(z_box[:, 1], zp_box[:, 1])]
         )
-    (z_ok, z_box), (zp_ok, zp_box), (is_z, frac_z), (is_zp, frac_zp), pvalue = results
-    union_box = np.column_stack(
-        [np.minimum(z_box[:, 0], zp_box[:, 0]), np.maximum(z_box[:, 1], zp_box[:, 1])]
-    )
-    square = np.array(_SQUARE)  # the statistic: how far the union box reaches past it
-    overshoot = max((square[:, 0] - union_box[:, 0]).max(), (union_box[:, 1] - square[:, 1]).max())
-    premises = (
-        *map_premises,
-        Premise("compact-support", z_ok and zp_ok, float(overshoot),
-                BOX_SLACK, {"box": union_box.tolist()}),
-        Premise("independent-support-Z", is_z, frac_z, 1.0),
-        Premise("independent-support-Zprime", is_zp, frac_zp, 1.0),
-    )
-    return premises, pvalue
+        square = np.array(_SQUARE)  # the statistic: how far the union box reaches past it
+        overshoot = max((square[:, 0] - union_box[:, 0]).max(),
+                        (union_box[:, 1] - square[:, 1]).max())
+        return Premise("compact-support", z_ok and zp_ok, float(overshoot),
+                       BOX_SLACK, {"box": union_box.tolist()})
+
+    bins = settings.bins_support
+    return [
+        *map_tasks,
+        compact_support,
+        lambda: Premise("independent-support-Z", *check_independent_support(Z, bins), 1.0),
+        lambda: Premise("independent-support-Zprime", *check_independent_support(Zp, bins), 1.0),
+        lambda: check_uniformity(Zp, settings.bins_uniformity),
+    ]
 
 
 def audit_pair(
@@ -933,38 +925,37 @@ def audit_pair(
     :class:`PairingError`, and an ``n`` below any floor of :data:`SAMPLE_FLOORS`
     raises one :class:`UndersampledError` that names every floor missed.
 
-    Every check but the relation is queued, one task each, to a worker thread: the
-    two continuity sweeps, the sigma-algebra premise, compact support of ``Z`` and
-    ``Z'``, their two support grids and uniformity.  This thread runs the relation
-    check, then takes the queue's unstarted tasks from its tail, one at a time, until
-    the worker has started the next; so both threads finish together, whichever half
-    is the longer at this ``n``.  numpy releases the interpreter lock in the checks'
-    sorts, gathers and loops, so the threads overlap; every check is a pure function
-    of the read-only clouds, so the report is the one a single thread makes.  A
+    Every check but the relation is queued to a worker thread, one task per report entry
+    and in the report's order: continuity (both sweeps), sigma-algebra, compact support
+    (both clouds), each cloud's support grid, and uniformity.  This thread runs the
+    relation check, then takes the queue's unstarted tasks from its tail, one at a time,
+    until the worker has started the next; so both threads finish together, whichever
+    half is the longer at this ``n``.  numpy releases the interpreter lock in the
+    checks' sorts, gathers and loops, so the threads overlap; every check is a pure
+    function of the read-only clouds, so the report is the one a single thread makes.  A
     failing check raises its own error: the relation's, or else the first in queue
     order, whichever thread ran it.  The audit's largest temporaries, the relation
-    check's, come from the heap that made the clouds, not from a second allocator
-    arena; the other checks' stay small on either thread, since they work in blocks
-    of rows.  The worker is joined before this function returns or raises, so a
-    process that forks around the audit (the CLI's cloud writers) never forks with a
-    live thread.
+    check's, come from the heap that made the clouds, not from a second allocator arena;
+    the other checks' stay small on either thread, since they work in blocks of rows.
+    The worker is joined before this function returns or raises, so a process that forks
+    around the audit (the CLI's cloud writers) never forks with a live thread.
     """
     _require_paired(Z, Zp)
     _require_samples(Z.n, **{key: getattr(settings, key) for _, key, _ in SAMPLE_FLOORS})
     from concurrent.futures import Future, ThreadPoolExecutor  # here, so that importing stays fast
 
-    checks = _premise_checks(Z, Zp, maps, settings)
+    tasks = _report_tasks(Z, Zp, maps, settings)
     with ThreadPoolExecutor(max_workers=1) as worker:
-        queued = [worker.submit(check) for check in checks]
+        queued = [worker.submit(task) for task in tasks]
         conclusion = check_coordinatewise_relation(Z, Zp, bins=settings.bins_relation,
                                                    threshold=settings.functional_threshold)
-        for k in reversed(range(len(checks))):
+        for k in reversed(range(len(tasks))):
             if not queued[k].cancel():  # the worker has started it, and every task before it
                 break
             queued[k] = Future()
             try:
-                queued[k].set_result(checks[k]())
+                queued[k].set_result(tasks[k]())
             except Exception as error:  # kept, as the worker keeps its own, to raise in queue order
                 queued[k].set_exception(error)
-    premises, pvalue = _premises([done.result() for done in queued], maps is not None, settings)
-    return AuditReport(premises, pvalue, settings.alpha, conclusion)
+    *premises, pvalue = [done.result() for done in queued]
+    return AuditReport(tuple(premises), pvalue, settings.alpha, conclusion)

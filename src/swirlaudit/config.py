@@ -70,6 +70,8 @@ class RunConfig(AuditSettings):
                     if (problem := integer_problem(key, getattr(self, key), lowest))]
         if not isinstance(self.output_dir, (str, os.PathLike)):
             problems.append(f"output_dir: must be a str or os.PathLike, got {self.output_dir!r}")
+        elif not os.fspath(self.output_dir):
+            problems.append("output_dir: must not be empty")
         if not isinstance(self.degenerate_a, (bool, np.bool_)):
             problems.append(f"degenerate_a: must be a bool, got {self.degenerate_a!r}")
         problems += swirl_problems(self.a, self.c, self.degenerate_a)
@@ -108,7 +110,7 @@ def load_config(path: str | Path) -> RunConfig:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 

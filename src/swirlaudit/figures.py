@@ -108,6 +108,8 @@ def render_scatter_svg(
     No plotting library involved: each point becomes one ``<circle>`` inside
     a framed 560-pixel square viewport mapping ``axis_range`` on both axes.
     """
+    from html import escape  # here, so that importing the CLI stays fast
+
     pts = np.asarray(points, dtype=np.float64)
     lo, hi = axis_range
     if not -math.inf < lo < hi < math.inf:
@@ -128,7 +130,7 @@ def render_scatter_svg(
     if title:
         lines.append(
             f'<text x="{size_px / 2:.1f}" y="{pad - 6:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{title}</text>'
+            f'font-family="sans-serif" font-size="12">{escape(title, quote=False)}</text>'
         )
     lines.append('<g fill="#30669c" fill-opacity="0.45" stroke="none">')
     circle = f'<circle cx="%.2f" cy="%.2f" r="{point_radius}"/>\n'

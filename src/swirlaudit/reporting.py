@@ -213,7 +213,7 @@ def _read_rows(path: str | Path) -> tuple[NDArray[np.float64], str]:
     """:func:`read_cloud_csv` through the ``csv`` module, row by row: slow,
     but it names the first row that is not two reals."""
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = _read_header(path, reader)
         for lineno, fields in enumerate(reader, start=2):
@@ -249,7 +249,7 @@ def read_cloud_csv(path: str | Path) -> tuple[NDArray[np.float64], str]:
     ``csv`` path decides: a quoted field, a whitespace-only line, an
     underscore in a number.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = _read_header(path, reader)
     try:

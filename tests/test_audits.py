@@ -693,10 +693,11 @@ def test_calling_thread_takes_the_unstarted_tail_of_the_queue(monkeypatch):
     threads = threading.active_count()
     assert run_audit(A, p, 20_000, 1) == unslowed
     assert threading.active_count() == threads
-    # the worker sleeps in the first sweep, so this thread runs the relation and every later check
+    # the worker sleeps in the first sweep and runs the second in the same task, so this
+    # thread runs the relation and every later check
     assert sorted(ran) == sorted(
-        [("check_continuity", False), ("check_coordinatewise_relation", True)]
-        + [(name, True) for name in WORKER_ORDER[1:]])
+        [("check_continuity", False)] * 2 + [("check_coordinatewise_relation", True)]
+        + [(name, True) for name in WORKER_ORDER[2:]])
 
 
 def test_the_first_failing_check_in_queue_order_raises_whichever_thread_ran_it(monkeypatch):
@@ -738,6 +739,35 @@ def test_error_on_the_calling_thread_still_joins_the_worker(monkeypatch):
     assert ("check_coordinatewise_relation", True) in ran
     assert [entry for entry in ran if entry[0] != "check_coordinatewise_relation"] == [
         (name, False) for name in WORKER_ORDER]
+
+
+def test_concurrent_audits_each_give_the_single_threaded_report():
+    # every hand-off between an audit's two threads, under frequent thread switches
+    A, p = default_mixing(), default_swirl()
+    Z, X, Zp = audits.generate(A, p, 20_000, 5)
+    reference = audit_pair(Z, Zp, maps=(A, p, X))
+    reports, errors = [], []
+
+    def audit_five_times():
+        try:
+            for _ in range(5):
+                reports.append(audit_pair(Z, Zp, maps=(A, p, X)))
+        except Exception as error:
+            errors.append(error)
+
+    threads = [threading.Thread(target=audit_five_times) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(reports) == 20 and all(report == reference for report in reports)
 
 
 @pytest.mark.parametrize("check, message", [

@@ -95,6 +95,22 @@ def test_run_infinite_l_max_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("config, flags", [
+    (SMALL_CFG + "output_dir =\n", []),
+    (SMALL_CFG, ["--out", ""]),
+])
+def test_run_refuses_an_empty_output_dir_and_keeps_the_report_here(tmp_path, monkeypatch, capsys,
+                                                                   config, flags):
+    # "" would put the clouds in the working directory and replace the report there
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "report.json").write_text("{}\n", encoding="utf-8")
+    assert main(["run", "--config", write_cfg(tmp_path, config), *flags]) == 3
+    assert capsys.readouterr().err == (
+        "error: invalid configuration:\n  output_dir: must not be empty\n")
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == "{}\n"
+    assert not (tmp_path / "z.csv").exists()
+
+
 def test_report_parameters_keep_their_key_order(tmp_path):
     settings = ["bins_support", "bins_uniformity", "bins_relation", "functional_threshold",
                 "alpha"]

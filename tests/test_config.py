@@ -55,6 +55,13 @@ def test_non_finite_l_max_names_key(tmp_path, value):
         load_config(write(tmp_path, f"l_max = {value}\n"))
 
 
+def test_byte_order_mark_is_skipped(tmp_path):
+    # editors may save one; it is no part of the first key
+    path = tmp_path / "run.cfg"
+    path.write_bytes("\ufeffn = 5000\nseed = 3\n".encode("utf-8"))
+    assert load_config(path) == RunConfig(n=5000, seed=3)
+
+
 def test_unknown_key_fails_closed(tmp_path):
     with pytest.raises(ConfigError, match="unknown key 'bins'"):
         load_config(write(tmp_path, "bins = 10\n"))
@@ -92,6 +99,7 @@ def test_all_violations_reported_together(tmp_path):
     ("n 5\n", "line 1:"),  # no '='
     ("seed = -1\n", "seed:"),
     ("a = inf\n", "a, c:"),
+    ("output_dir =\n", "output_dir: must not be empty"),  # unlike ".", a slip
 ])
 def test_refused_config_line_names_its_key(tmp_path, text, prefix):
     with pytest.raises(ConfigError) as exc:
@@ -206,7 +214,7 @@ valid_configs = st.builds(
     alpha=_open_unit,
     l_max=st.floats(0.0, exclude_min=True, allow_infinity=False),
     output_dir=st.text(st.characters(categories=("L", "N")) | st.sampled_from("/._- "))
-    .map(str.strip),
+    .map(str.strip).filter(bool),
 )
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import xml.etree.ElementTree as ET
 from decimal import Decimal
 
 import numpy as np
@@ -194,6 +195,13 @@ def read_blank_file(tmp_path):
 def test_refused_inputs_raise_their_error(tmp_path, refused, error, key):
     with pytest.raises(error, match=key):
         refused(tmp_path)
+
+
+def test_svg_title_is_escaped(tmp_path):
+    path = tmp_path / "s.svg"
+    figures.render_scatter_svg(np.zeros((1, 2)), path, (-1.0, 1.0), "a < b & c")
+    title = ET.parse(path).getroot().find("{http://www.w3.org/2000/svg}text")
+    assert title.text == "a < b & c"
 
 
 def test_profile_matches_rotation_law(tmp_path):
@@ -407,4 +415,15 @@ def test_cloud_csv_reader_reads_a_written_cloud_without_the_csv_path(tmp_path, m
     write_cloud_csv(path, pts)
     monkeypatch.setattr(sa.reporting, "_read_rows", None)  # any fallback would fail
     back, header = read_cloud_csv(path)
+    assert header == "z1,z2" and back.tobytes() == pts.tobytes()
+
+
+@pytest.mark.parametrize("reader", [read_cloud_csv, _read_rows])
+def test_cloud_csv_reader_skips_a_byte_order_mark(tmp_path, reader):
+    # a spreadsheet's UTF-8 export may start with one; it is no part of the header
+    pts = sa.sample_uniform_square(50, seed=3).points
+    path = tmp_path / "z.csv"
+    write_cloud_csv(path, pts)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    back, header = reader(path)
     assert header == "z1,z2" and back.tobytes() == pts.tobytes()
