@@ -586,7 +586,8 @@ def _sort_order(values: NDArray[np.float64]) -> tuple[NDArray[np.intp], bool]:
     ``np.argsort(values, kind="stable")``, and whether the ordered values strictly
     increase, from one sort of packed int64 keys.  The values hold no NaN (numpy puts
     every NaN last, their keys would not) and number at most ``2**31`` (see
-    :func:`_sort_runs`); every caller sorts the finite coordinates of a :class:`Dataset`.
+    :func:`_sort_runs`); every caller sorts finite values, such as a :class:`Dataset`'s
+    column as a strided view, reversed (a negative stride) when the column has ties.
 
     Each row's :func:`_float_keys` key keeps its top ``64 - b`` bits, with
     ``b = (n - 1).bit_length()``, and takes the row's number in its low ``b`` bits.  One
@@ -675,43 +676,24 @@ def _places(order: NDArray[np.intp]) -> NDArray[np.int32]:
     return places
 
 
-def _run_starts(values: NDArray, order: NDArray[np.intp]):
-    """Blocks ``(rows, firsts)`` along ``order``: the rows of each block of ``order``
-    and, for each, the place in ``order`` where its run of equal values begins."""
-    first = 0
-    for start in range(0, order.size, BLOCK_ROWS):
-        rows = order[start:start + BLOCK_ROWS]
-        ordered = values[order[max(start - 1, 0):start + rows.size]]  # and the row before
-        new = ordered[1:] != ordered[:-1]
-        if not start:
-            new = np.concatenate(([True], new))
-        firsts = np.maximum.accumulate(np.where(new, np.arange(start, start + rows.size), first))
-        first = firsts[-1]
-        yield rows, firsts
-
-
 def _doubled_ranks(values: NDArray) -> tuple[NDArray[np.int32], bool, int]:
     """Twice the 1-based ranks of ``values``, tied values sharing their mean rank;
     whether the values are distinct; and the ranks' spread ``sum((ranks - n - 1)**2)``
     about their mean, exactly.  Doubled, a mean rank is a whole number, and int32 holds
-    it for n up to about 1e9.  The ranks are scattered a block of rows at a time: for
-    distinct values each row's is twice its place in the order plus 2, and a run of
-    equal values from place ``f`` to ``l`` takes ``f + l + 2``, its ``f`` carried
-    forward through the order and its ``l`` backward.  Distinct values' ranks are
-    2, 4, ..., 2n, whose spread is ``(n**3 - n) / 3``."""
+    it for n up to about 1e9.  Distinct values' ranks are twice their places plus 2, with
+    spread ``(n**3 - n) / 3``.  A run of equal values at places ``f`` to ``l`` takes
+    ``f + l + 2``: its row with the j-th smallest number is at place ``f + j`` in the
+    stable order of the values, and at ``l - j`` in that of the reversed values."""
     order, distinct = _sort_order(values)
     n = order.size
+    ranks = _places(order)
+    del order  # one sort order alive at a time
     if distinct:
-        ranks = _places(order)
         ranks *= 2
-        ranks += 2
-        return ranks, True, (n * n - 1) * n // 3
-    ranks = np.empty(n, dtype=np.int32)
-    for rows, firsts in _run_starts(values, order):
-        ranks[rows] = firsts
-    for rows, firsts in _run_starts(values, order[::-1]):  # l = n - 1 - f of the reversed order
-        ranks[rows] += n + 1 - firsts
-    return ranks, False, _rank_dot(ranks, ranks)
+    else:
+        ranks += _places(_sort_order(values[::-1])[0])[::-1]
+    ranks += 2
+    return ranks, distinct, (n * n - 1) * n // 3 if distinct else _rank_dot(ranks, ranks)
 
 
 def _rank_dot(x: NDArray[np.int32], y: NDArray[np.int32]) -> int:
@@ -726,16 +708,23 @@ def _rank_dot(x: NDArray[np.int32], y: NDArray[np.int32]) -> int:
     return total - n * (n + 1) ** 2
 
 
-def _stable_places(values: NDArray, ranks: NDArray[np.int32], distinct: bool) -> NDArray:
-    """Each row's place in the stable order of ``values``, given their :func:`_doubled_ranks`:
-    for distinct values as intp, which numpy would cast an int32 index array to at each
-    use, and else as int32, from a second :func:`_sort_order` of the column: the first's
-    order is not kept, so that the relation check holds at most 32 bytes a row."""
+def _stable_places(ranks: NDArray[np.int32], distinct: bool) -> NDArray:
+    """Each row's place in the stable order of the values that :func:`_doubled_ranks`
+    ranked ``ranks``: as intp for distinct values, which numpy would cast int32 indices
+    to at each use, and else as int32, from one sort of int64 keys ``((ranks // 2 - 1)
+    << b) | row`` made in place, ``b = (n - 1).bit_length()``.  Runs of tied values
+    differ in doubled rank by at least 2, so ``ranks // 2 - 1 < n`` keeps their order."""
+    places = np.floor_divide(ranks, 2, dtype=np.intp)
+    places -= 1
     if distinct:
-        places = np.floor_divide(ranks, 2, dtype=np.intp)
-        places -= 1
         return places
-    return _places(_sort_order(values)[0])
+    shift = max(places.size - 1, 0).bit_length()
+    places <<= shift
+    for start in range(0, places.size, BLOCK_ROWS):
+        places[start:start + BLOCK_ROWS] |= np.arange(start, min(start + BLOCK_ROWS, places.size))
+    places.sort()
+    places &= (1 << shift) - 1
+    return _places(places)
 
 
 def _within_bin_share(ranks: NDArray[np.int32], spread: int, places: NDArray, bins: int) -> float:
@@ -804,8 +793,8 @@ def check_coordinatewise_relation(
     ranks, distinct, spreads = zip(*map(_doubled_ranks, columns))  # one sort order alive at a time
     # share[b, d]: column d's ranks binned along column b, a Z column along a Z' one or back
     share = {}
-    for b, column in enumerate(columns):
-        places = _stable_places(column, ranks[b], distinct[b])
+    for b in range(4):
+        places = _stable_places(ranks[b], distinct[b])
         for d in ((2, 3) if b < 2 else (0, 1)):
             share[b, d] = _within_bin_share(ranks[d], spreads[d], places, bins)
         del places  # one places array alive at a time

@@ -113,6 +113,8 @@ def load_config(path: str | Path) -> RunConfig:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from None
 
     raw: dict[str, object] = {}
     problems = []

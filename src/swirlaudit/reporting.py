@@ -194,6 +194,14 @@ def write_cloud_csv(path: str | Path, points: NDArray[np.float64], header: str =
             fh.write(_format_rows(pts[start:start + CSV_BLOCK_ROWS].ravel()))
 
 
+def _utf8_lines(path: str | Path, fh):
+    """The lines of ``fh``; a byte that is not UTF-8 raises :class:`MalformedRowError`."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        raise MalformedRowError(f"{path}: not UTF-8 text") from None
+
+
 def _read_header(path: str | Path, reader) -> str:
     """The header of a cloud CSV: the first record of ``reader``, checked."""
     try:
@@ -214,7 +222,7 @@ def _read_rows(path: str | Path) -> tuple[NDArray[np.float64], str]:
     but it names the first row that is not two reals."""
     rows = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(path, fh))
         header = _read_header(path, reader)
         for lineno, fields in enumerate(reader, start=2):
             if not fields:
@@ -250,7 +258,7 @@ def read_cloud_csv(path: str | Path) -> tuple[NDArray[np.float64], str]:
     underscore in a number.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(path, fh))
         header = _read_header(path, reader)
     try:
         with warnings.catch_warnings():  # a file without rows is the csv path's error

@@ -27,6 +27,7 @@ from swirlaudit.audits import (
     _correlation,
     _doubled_ranks,
     _sort_order,
+    _stable_places,
     audit_pair,
     bounding_box,
     check_compact_support,
@@ -844,6 +845,12 @@ def test_sort_order_equals_stable_argsort(size, kind, seed):
     assert np.array_equal(order, np.argsort(v, kind="stable"))
     with np.errstate(invalid="ignore"):  # inf - inf
         assert distinct == bool(np.all(np.diff(v[order]) > 0))
+    # the ranks sum each row's places in the stable orders of v and of v reversed, and
+    # the places are read back from the ranks alone
+    ranks, ranked_distinct, _ = _doubled_ranks(v)
+    assert ranked_distinct == distinct
+    assert np.array_equal(ranks, 2 * stats.rankdata(v))
+    assert np.array_equal(_stable_places(ranks, distinct), np.argsort(order))
 
 
 def test_sort_order_keeps_signed_zeros_in_stable_order():
@@ -862,9 +869,10 @@ def test_sort_order_of_a_strided_column_equals_stable_argsort():
     points[::11, 0] = np.nextafter(0.5, 1.0)
     points[::13, 0] = np.nextafter(np.nextafter(0.5, 1.0), 1.0)
     for column in points.T:
-        order, distinct = _sort_order(column)
-        assert np.array_equal(order, np.argsort(column, kind="stable"))
-        assert distinct == bool(np.all(np.diff(column[order]) > 0))
+        for view in (column, column[::-1]):  # reversed, as the ranks of tied values sort it
+            order, distinct = _sort_order(view)
+            assert np.array_equal(order, np.argsort(view, kind="stable"))
+            assert distinct == bool(np.all(np.diff(view[order]) > 0))
 
 
 def _reference_ratio(binning, dependent, bins):
@@ -1119,8 +1127,8 @@ def test_blocked_rank_sums_equal_python_integer_sums(n, data, bins):
 def test_relation_peak_memory_is_at_most_32_bytes_per_row(kind):
     # 16 bytes per row for the four int32 rank columns, and at most one full-length
     # working pair beside them: the packed sort keys, or a places-and-scatter pair;
-    # kind=2 rounds to 2 decimals and takes the tied path, its second sorts and run
-    # scans; "ulps" puts every value of a column within n ulps of 1, so each column's
+    # kind=2 rounds to 2 decimals and takes the tied path, its reversed sorts and the
+    # sorts of its ranks; "ulps" puts every value of a column within n ulps of 1, so each column's
     # packed keys share their top bits and make one run longer than a block, sorted in
     # place; "ulps-tied" makes that run of values tied in threes
     n = 200_000

@@ -85,6 +85,14 @@ def test_run_invalid_config_exit_code(tmp_path, capsys):
     assert "c:" in capsys.readouterr().err
 
 
+def test_run_refuses_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"# caf\xe9\n" + SMALL_CFG.encode())
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"error: config file {cfg} is not UTF-8 text\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_infinite_l_max_exits_3(tmp_path, capsys):
     # an infinite bound would pass every continuity sweep
     cfg = write_cfg(tmp_path, SMALL_CFG + "l_max = inf\n")
@@ -464,6 +472,23 @@ def test_audit_external_rejects_an_observation_cloud(tmp_path, capsys, observed)
                  "--out", str(out)]) == 5
     err = capsys.readouterr().err
     assert f"{paths[observed]}: a latent cloud needs header 'z1,z2', got 'x1,x2'" in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("byte", [b"\xff", b"\xe9"])
+def test_audit_external_refuses_a_cloud_that_is_not_utf8(tmp_path, capsys, byte):
+    # 0xff in the header fails the header read; 0xe9 in a row past the first 8 KB is
+    # decoded only after the header, fails np.loadtxt and then the csv path's rows
+    good = tmp_path / "good.csv"
+    write_cloud_csv(good, swirlaudit.sample_uniform_square(3000, seed=4).points)
+    data = good.read_bytes()
+    cut = data.index(b"\n", 9000) + 1
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"z1,z" + byte + data[4:] if byte == b"\xff"
+                    else data[:cut] + b"0.5" + byte + b",0.5\n" + data[cut:])
+    out = tmp_path / "out"
+    assert main(["audit-external", str(bad), str(good), "--out", str(out)]) == 5
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text\n"
     assert not (out / "report.json").exists()
 
 
