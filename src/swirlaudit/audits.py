@@ -171,8 +171,8 @@ def _require_paired(Z: Dataset, Zp: Dataset) -> None:
 def bounding_box(points: ArrayLike) -> NDArray[np.float64]:
     """Per-axis empirical bounds, shape (2, 2): ``[[lo1, hi1], [lo2, hi2]]``."""
     pts = np.asarray(points, dtype=np.float64)
-    # Reducing each column on its own is several times faster than an axis-0
-    # reduction over the (n, 2) array, and gives the same values.
+    # Each column is reduced on its own, as an axis-0 reduction over the (n, 2) array is
+    # several times slower; a Dataset's columns are contiguous, a row-major one's strided.
     return np.array([[pts[:, k].min(), pts[:, k].max()] for k in range(2)])
 
 
@@ -186,7 +186,8 @@ def _digitize(values: NDArray[np.float64], edges: NDArray[np.float64],
     costs more moves, not another result."""
     bounds = np.concatenate(([-np.inf], edges, [np.inf]))
     lower, upper = bounds[:-1], bounds[1:]
-    k = np.clip((values - edges[0]) * scale + 1.0, 0.0, len(edges)).astype(np.intp)
+    with np.errstate(over="ignore"):  # a guess that overflows is clipped to an end bin
+        k = np.clip((values - edges[0]) * scale + 1.0, 0.0, len(edges)).astype(np.intp)
     wrong = np.flatnonzero((values < lower[k]) | (values >= upper[k]))
     while wrong.size:
         k[wrong] += np.where(values[wrong] < lower[k[wrong]], -1, 1)
@@ -408,7 +409,8 @@ def _max_distance(f: Callable[[NDArray[np.float64]], ArrayLike], points: NDArray
     ``np.hypot`` is called only on the rows whose squared distance comes within a
     relative :data:`~swirlaudit.transforms.HYPOT_MARGIN` of the block's largest;
     every other row is shorter.  A block whose largest square is NaN, infinite
-    (overflow) or below :data:`~swirlaudit.transforms.HYPOT_FLOOR` takes every row."""
+    (overflow) or below :data:`~swirlaudit.transforms.HYPOT_FLOOR` takes every row.  A
+    :class:`Dataset`'s blocks and their swirl are column-major: ``dx`` and ``dy`` are contiguous."""
     tops = []
     for start in range(0, len(points), BLOCK_ROWS):
         dx, dy = (np.asarray(f(points[start:start + BLOCK_ROWS]), dtype=np.float64)
@@ -587,7 +589,7 @@ def _sort_order(values: NDArray[np.float64]) -> tuple[NDArray[np.intp], bool]:
     increase, from one sort of packed int64 keys.  The values hold no NaN (numpy puts
     every NaN last, their keys would not) and number at most ``2**31`` (see
     :func:`_sort_runs`); every caller sorts finite values, such as a :class:`Dataset`'s
-    column as a strided view, reversed (a negative stride) when the column has ties.
+    contiguous column, reversed (a negative stride) when the column has ties.
 
     Each row's :func:`_float_keys` key keeps its top ``64 - b`` bits, with
     ``b = (n - 1).bit_length()``, and takes the row's number in its low ``b`` bits.  One

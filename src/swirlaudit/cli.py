@@ -18,10 +18,8 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterator
 
-import numpy as np
-
 from swirlaudit import __version__
-from swirlaudit.audits import AuditSettings, audit_pair, generate, sample_floor_misses
+from swirlaudit.audits import AuditSettings, audit_pair, bounding_box, generate, sample_floor_misses
 from swirlaudit.config import RunConfig, load_config
 from swirlaudit.errors import ConfigError, SwirlAuditError
 from swirlaudit.figures import render_scatter_svg, swirl_profile
@@ -134,7 +132,10 @@ def _emit_bundle(cfg: RunConfig, Z, X, Zp, render: bool) -> Iterator[Path]:
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    x_span = float(max(1.0, np.abs(X.points).max())) * 1.05 if render else None
+    x_span = None
+    if render:  # the largest |x|, from no temporary the size of X
+        lo, hi = bounding_box(X.points).T
+        x_span = float(max(1.0, -lo.min(), hi.max())) * 1.05
     clouds = (("z", Z.points, "z1,z2", 1.05, "sources Z"),
               ("x", X.points, "x1,x2", x_span, "observations X"),
               ("zprime", Zp.points, "z1,z2", 1.05, "alternate sources Z'"))

@@ -183,13 +183,15 @@ class Mixing2:
             raise ValueError(f"mixing matrix must be 2x2, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("mixing matrix must be finite")
-        det = float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+        with np.errstate(all="ignore"):  # a det or inverse that overflows fails the checks below
+            det = float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+            inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
+            inverts = np.allclose(a @ inv, np.eye(2), rtol=0.0, atol=_INVERSE_TOL)
         if abs(det) <= DET_EPSILON:
             raise ValueError(
                 f"mixing matrix is numerically singular: |det| = {abs(det):.3e} <= {DET_EPSILON}"
             )
-        inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
-        if not np.allclose(a @ inv, np.eye(2), rtol=0.0, atol=_INVERSE_TOL):
+        if not inverts:
             raise ValueError(
                 "mixing matrix too ill-conditioned: A @ inv(A) deviates from I by more "
                 f"than {_INVERSE_TOL}"
@@ -219,7 +221,8 @@ class Dataset:
     Attributes
     ----------
     points : ndarray, shape (n, 2)
-        Sample coordinates (read-only).
+        Sample coordinates (read-only), a copy of the input stored column by column
+        (Fortran order), so that each coordinate ``points[:, k]`` is contiguous.
     label : str
         One of ``latent-Z``, ``observed-X``, ``latent-Zprime``.
     seed : int
@@ -235,7 +238,7 @@ class Dataset:
     n: int = field(init=False)
 
     def __post_init__(self):
-        pts = _as_points(self.points, what="dataset").copy()
+        pts = _as_points(self.points, what="dataset").copy(order="F")
         if pts.ndim != 2:
             raise InvalidPointError(f"dataset points must have shape (n, 2), got {pts.shape}")
         if pts.shape[0] == 0:
@@ -319,34 +322,40 @@ def mpa_forward(p: MpaParams, z: ArrayLike) -> NDArray[np.float64]:
     and rotates only the rows inside the cutoff, so its temporaries stay a few
     hundred kB whatever the size of ``z``.  Points outside the cutoff are the
     copied ones: they come back unchanged bit for bit, signed zeros included.
-    The cutoff is decided by ``np.hypot`` through :func:`_inside_cutoff`.
+    The copy of a 2-D ``z`` is column-major, as a :class:`Dataset` is, so each
+    block's coordinates are contiguous; other shapes stay row-major, where the
+    rows are a view of the copy.  The cutoff is decided by ``np.hypot`` through
+    :func:`_inside_cutoff`, whose gathered coordinates are the ones rotated.
     """
-    out = _as_points(z).copy()
+    z = _as_points(z)
+    out = z.copy(order="F" if z.ndim == 2 else "C")
     rows = out.reshape(-1, 2)
     for start in range(0, len(rows), BLOCK_ROWS):
-        block = rows[start:start + BLOCK_ROWS]
-        inside, r = _inside_cutoff(block[:, 0], block[:, 1], p.c)
-        theta = p.a * (r - p.c)
+        bx, by = rows[start:start + BLOCK_ROWS].T
+        inside, x, y, theta = _inside_cutoff(bx, by, p.c)
+        theta -= p.c  # the radii, made the angle a * (r - c) in place
+        theta *= p.a
         cos_t, sin_t = np.cos(theta), np.sin(theta)
-        x, y = block[inside, 0], block[inside, 1]
-        block[inside, 0] = cos_t * x - sin_t * y
-        block[inside, 1] = sin_t * x + cos_t * y
+        bx[inside] = cos_t * x - sin_t * y
+        by[inside] = sin_t * x + cos_t * y
     return out
 
 
 def _inside_cutoff(x: NDArray[np.float64], y: NDArray[np.float64],
-                   c: float) -> tuple[NDArray[np.intp], NDArray[np.float64]]:
-    """The rows with ``np.hypot(x, y) <= c``, and their radii.
+                   c: float) -> tuple[NDArray, ...]:
+    """The rows with ``np.hypot(x, y) <= c``, their ``x`` and ``y``, and their radii.
 
     ``np.hypot`` is called only on the rows with ``x*x + y*y`` at most
     ``c*c*(1 + HYPOT_MARGIN)`` or :data:`HYPOT_FLOOR`; every other row is outside.
-    Rows with a NaN or an infinity are outside, as ``hypot`` has them.
+    Rows with a NaN or an infinity are outside, as ``hypot`` has them.  Each
+    coordinate is gathered once, and compressed only if a near row is outside.
     """
     with np.errstate(over="ignore"):
         near = np.flatnonzero(x * x + y * y <= max(c * c * (1.0 + HYPOT_MARGIN), HYPOT_FLOOR))
-    r = np.hypot(x[near], y[near])
+    x, y = x[near], y[near]
+    r = np.hypot(x, y)
     keep = r <= c
-    return near[keep], r[keep]
+    return (near, x, y, r) if keep.all() else (near[keep], x[keep], y[keep], r[keep])
 
 
 def mpa_inverse(p: MpaParams, zp: ArrayLike) -> NDArray[np.float64]:

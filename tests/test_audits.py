@@ -316,6 +316,20 @@ def test_uniformity_rejects_quadrant_data():
     assert p < 1e-10
 
 
+def test_uniformity_counts_the_largest_floats_outside_without_a_warning():
+    # their bin guesses overflow to +-inf on the square's grid, and clip to the end cells
+    pts = sa.sample_uniform_square(20_000, seed=3).points.copy()
+    pts[:4] = [(1.7e308, 0.0), (-1.7e308, 0.0), (0.5, 1.7976931348623157e308), (0.0, -1e308)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = check_uniformity(Dataset(points=pts, label=LATENT_Z, seed=3), 10)
+    inside = Dataset(points=pts[4:], label=LATENT_Z, seed=3)
+    counts = audits._grid_counts(pts, 10, audits._SQUARE)
+    assert counts.sum() == 20_000 - 4
+    assert np.array_equal(counts, audits._grid_counts(inside.points, 10, audits._SQUARE))
+    assert 0.0 < p < 1.0
+
+
 def test_uniformity_undersampled():
     with pytest.raises(UndersampledError):
         check_uniformity(sa.sample_uniform_square(100, 1), 10)
@@ -602,6 +616,28 @@ def record_check_calls(monkeypatch, wrap=lambda name, check: check):
             return _check(*args, **kwargs)
         monkeypatch.setattr(audits, name, recording)
     return calls
+
+
+def row_major(D):
+    """``D`` with its points stored row by row, as a :class:`Dataset` no longer makes them."""
+    copy = Dataset(points=D.points, label=D.label, seed=D.seed)
+    points = np.ascontiguousarray(D.points)
+    points.flags.writeable = False
+    object.__setattr__(copy, "points", points)
+    return copy
+
+
+@pytest.mark.parametrize("n", [20_000, 40_000])
+def test_audit_pair_gives_the_same_report_for_either_layout(n):
+    A, p = default_mixing(), default_swirl()
+    Z, X, Zp = audits.generate(A, p, n, 3)
+    assert all(D.points.flags.f_contiguous for D in (Z, X, Zp))
+    rows = [row_major(D) for D in (Z, X, Zp)]
+    assert all(D.points.flags.c_contiguous for D in rows)
+    assert audit_pair(Z, Zp, maps=(A, p, X)) == audit_pair(rows[0], rows[2],
+                                                           maps=(A, p, rows[1]))
+    assert audit_pair(Z, Zp) == audit_pair(rows[0], rows[2])
+    assert swirl_profile(Z, Zp).tobytes() == swirl_profile(rows[0], rows[2]).tobytes()
 
 
 def test_audit_pair_rejects_unpaired_clouds_before_any_check(monkeypatch):

@@ -93,6 +93,19 @@ def test_run_refuses_a_config_that_is_not_utf8(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_refuses_an_overflowing_mixing_with_one_error_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL_CFG + "A = 1e308, 1e308, -1e308, 1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == ("error: invalid configuration:\n  A: mixing matrix too ill-conditioned: "
+                   "A @ inv(A) deviates from I by more than 1e-12\n")
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: invalid configuration:"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_infinite_l_max_exits_3(tmp_path, capsys):
     # an infinite bound would pass every continuity sweep
     cfg = write_cfg(tmp_path, SMALL_CFG + "l_max = inf\n")

@@ -1,6 +1,7 @@
 """Tests for the flat key = value configuration format."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,19 @@ def test_numpy_scalars_are_stored_as_python_numbers(tmp_path):
     cfg = RunConfig(output_dir=Path("d"), degenerate_a=np.bool_(True), a=0.0)
     written = json.dumps(cfg.to_dict())
     assert '"output_dir": "d"' in written and '"degenerate_a": true' in written
+
+
+@pytest.mark.parametrize("rows", [
+    (1e308, 1e308, -1e308, 1e308),  # det overflows to inf
+    (1e200, 1e200, 1e200, 1e200),  # det is inf - inf = NaN
+    (1e308, float(np.nextafter(1e8, 0.0)), 1.0, 1e-300),  # det 1.5e-8, an inverse entry inf
+])
+def test_overflowing_mixing_is_refused_without_a_warning(rows):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"^invalid configuration:\n  A: mixing matrix too "
+                                              r"ill-conditioned: A @ inv\(A\) deviates"):
+            RunConfig(mixing=rows)
 
 
 def test_mixing_needs_four_entries():

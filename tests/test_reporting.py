@@ -197,6 +197,20 @@ def test_refused_inputs_raise_their_error(tmp_path, refused, error, key):
         refused(tmp_path)
 
 
+@pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 20_000])
+def test_cloud_csv_and_svg_bytes_are_the_same_for_either_layout(tmp_path, n):
+    pts = np.resize(np.array(EDGE_VALUES[:8] + [0.25, -0.75]), (n, 2))
+    pts[n // 2:] = sa.sample_uniform_square(n, seed=n).points[n // 2:]
+    written = []
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        path = tmp_path / f"{layout.__name__}.csv"
+        write_cloud_csv(path, layout(pts), header="x1,x2")
+        figures.render_scatter_svg(layout(pts), path.with_suffix(".svg"), (-2.0, 2.0))
+        written.append((path.read_bytes(), path.with_suffix(".svg").read_bytes()))
+    assert written[0] == written[1]
+    assert written[0][0] == reference_cloud_csv(pts, "x1,x2")
+
+
 def test_svg_title_is_escaped(tmp_path):
     path = tmp_path / "s.svg"
     figures.render_scatter_svg(np.zeros((1, 2)), path, (-1.0, 1.0), "a < b & c")

@@ -4,6 +4,7 @@ import contextlib
 import io
 import tempfile
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import swirlaudit as sa
+from swirlaudit.audits import generate
 from swirlaudit.cli import EXIT_CONFIG, main
 from swirlaudit.errors import (
     EmptyDatasetError,
@@ -20,6 +22,7 @@ from swirlaudit.errors import (
     InvalidPointError,
     LabelMismatchError,
 )
+from swirlaudit.reporting import load_external_cloud, write_cloud_csv
 from swirlaudit.transforms import (
     DET_EPSILON,
     LATENT_Z,
@@ -167,6 +170,24 @@ def test_refused_inputs_raise_their_error(refused, error):
         refused()
 
 
+def test_dataset_points_are_column_major_and_read_only_from_every_constructor(tmp_path):
+    rows = np.arange(12.0).reshape(6, 2)
+    write_cloud_csv(tmp_path / "cloud.csv", rows)
+    made = {
+        "direct": Dataset(points=rows, label=LATENT_Z, seed=0),
+        "direct-column-major": Dataset(points=np.asfortranarray(rows), label=LATENT_Z, seed=0),
+        "square": sa.sample_uniform_square(1000, seed=1),
+        "disk": sa.sample_uniform_disk(1000, seed=1),
+        **dict(zip(("Z", "X", "Zprime"), generate(A_DEFAULT(), P_DEFAULT(), 1000, 1))),
+        "external": load_external_cloud(tmp_path / "cloud.csv", LATENT_Z),
+    }
+    for name, D in made.items():
+        assert D.points.flags.f_contiguous and not D.points.flags.writeable, name
+        assert D.points.shape == (D.n, 2), name
+    assert made["direct"].points.tobytes() == made["external"].points.tobytes() == rows.tobytes()
+    assert not np.shares_memory(made["direct-column-major"].points, rows)  # still a copy
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
 def test_dataset_refuses_a_seed_that_is_no_nonnegative_integer(seed):
     with pytest.raises(ValueError, match=r"^seed: must be "):
@@ -243,6 +264,25 @@ def test_unmix_roundtrip(rows):
     z = sa.sample_uniform_square(100_000, seed=21).points
     err = np.abs(sa.unmix(A, sa.mix(A, z)) - z).max()
     assert err < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 16383, 16384, 16385, 40_000])
+@pytest.mark.parametrize("A", [A_DEFAULT(), sa.Mixing2.from_rows(2.0, 1.0, 1.0, 3.0)])
+def test_maps_give_the_same_bits_for_either_layout(n, A):
+    z = sa.sample_uniform_square(n, seed=n).points.copy()
+    z[:len(SWIRL_EDGE_POINTS[:n])] = SWIRL_EDGE_POINTS[:n]
+    rows, columns = np.ascontiguousarray(z), np.asfortranarray(z)
+    assert rows.flags.c_contiguous and columns.flags.f_contiguous
+    p = P_DEFAULT()
+    for f in (partial(sa.mix, A), partial(sa.unmix, A), partial(sa.mpa_forward, p),
+              partial(sa.mpa_inverse, p)):
+        assert f(rows).tobytes() == f(columns).tobytes()
+    # a stack of clouds: its swirl stays row-major, as it rotates the rows through a view
+    stacked = rows[:n // 3 * 3].reshape(3, -1, 2)
+    for f in (partial(sa.mpa_forward, p), partial(sa.mpa_inverse, p), partial(sa.mix, A)):
+        assert f(stacked).tobytes() == f(np.asfortranarray(stacked)).tobytes()
+    assert np.array_equal(sa.mpa_forward(p, np.asfortranarray(stacked)).view(np.uint64),
+                          reference_swirl(p, stacked).view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +395,12 @@ def test_inside_cutoff_selects_the_rows_hypot_puts_inside(c):
     x, y = z[:, 0], z[:, 1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        inside, r = sa.transforms._inside_cutoff(x, y, c)
+        inside, x_in, y_in, r = sa.transforms._inside_cutoff(x, y, c)
     radii = np.hypot(x, y)
     want = np.flatnonzero(radii <= c)
     assert np.array_equal(inside, want)
     assert r.tobytes() == radii[want].tobytes()
+    assert x_in.tobytes() == x[want].tobytes() and y_in.tobytes() == y[want].tobytes()
 
 
 def test_swirl_leaves_huge_points_and_refuses_non_finite_ones():
