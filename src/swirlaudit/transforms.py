@@ -9,7 +9,10 @@ in the pipeline has an exact analytic inverse; the statistical audits in
 
 All operations are pure functions of their inputs and vectorize over arrays
 of points with shape ``(..., 2)``.  Datasets are immutable once created, so
-everything here is safe to evaluate in parallel.
+everything here is safe to evaluate in parallel.  :func:`apply_pipeline`
+itself shares the swirl with one worker thread, which it joins before it
+returns, and the mixing multiplies blocks of rows, so that no call here
+leaves OpenBLAS's thread pool running.
 """
 
 from __future__ import annotations
@@ -298,15 +301,38 @@ def sample_uniform_disk(n: int, seed: int) -> Dataset:
 
 
 def mix(A: Mixing2, z: ArrayLike) -> NDArray[np.float64]:
-    """Map latent points to observations: ``x = A @ z`` (vectorized)."""
-    z = _as_points(z, what="latent point")
-    return z @ A.matrix.T
+    """Map latent points to observations: ``x = A @ z`` (vectorized).
+
+    The bits are those of ``z @ A.matrix.T``; an ``(n, 2)`` array is multiplied
+    :data:`BLOCK_ROWS` rows at a time by :func:`_row_product`.
+    """
+    return _row_product(_as_points(z, what="latent point"), A.matrix)
 
 
 def unmix(A: Mixing2, x: ArrayLike) -> NDArray[np.float64]:
-    """Invert the mixing: ``z = A^{-1} @ x``; exact inverse of :func:`mix`."""
-    x = _as_points(x, what="observed point")
-    return x @ A.inverse.T
+    """Invert the mixing: ``z = A^{-1} @ x``; exact inverse of :func:`mix`.
+
+    The bits are those of ``x @ A.inverse.T``, made as :func:`mix` makes its own.
+    """
+    return _row_product(_as_points(x, what="observed point"), A.inverse)
+
+
+def _row_product(points: NDArray[np.float64], matrix: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``points @ matrix.T``, an ``(n, 2)`` array a block of rows at a time.
+
+    A block this small takes OpenBLAS's single-threaded path, so no call leaves
+    its thread pool spinning beside the rest of the run, and each block gives
+    the bits of the whole-array product.  A block of one row would not: numpy
+    multiplies it as a vector, which may round differently.  So a last row
+    left alone joins the block before it, and other shapes keep ``@``.
+    """
+    if points.ndim != 2:
+        return points @ matrix.T
+    out = np.empty(points.shape)
+    bounds = range(BLOCK_ROWS, len(points) - 1, BLOCK_ROWS)
+    for start, stop in zip([0, *bounds], [*bounds, len(points)]):
+        np.matmul(points[start:stop], matrix.T, out=out[start:stop])
+    return out
 
 
 def mpa_forward(p: MpaParams, z: ArrayLike) -> NDArray[np.float64]:
@@ -318,27 +344,36 @@ def mpa_forward(p: MpaParams, z: ArrayLike) -> NDArray[np.float64]:
     Rotation preserves the radius, hence the map preserves the uniform
     distribution on any radially symmetric region and on the square.
 
-    The map works on a copy of the points, :data:`BLOCK_ROWS` rows at a time,
-    and rotates only the rows inside the cutoff, so its temporaries stay a few
-    hundred kB whatever the size of ``z``.  Points outside the cutoff are the
-    copied ones: they come back unchanged bit for bit, signed zeros included.
-    The copy of a 2-D ``z`` is column-major, as a :class:`Dataset` is, so each
-    block's coordinates are contiguous; other shapes stay row-major, where the
-    rows are a view of the copy.  The cutoff is decided by ``np.hypot`` through
-    :func:`_inside_cutoff`, whose gathered coordinates are the ones rotated.
+    The map rotates a copy of the points in place with :func:`_swirl_rows`, on
+    this thread.  Points outside the cutoff are the copied ones: they come back
+    unchanged bit for bit, signed zeros included.  The copy of a 2-D ``z`` is
+    column-major, as a :class:`Dataset` is, so each block's coordinates are
+    contiguous; other shapes stay row-major, where the rows are a view of the copy.
     """
     z = _as_points(z)
     out = z.copy(order="F" if z.ndim == 2 else "C")
     rows = out.reshape(-1, 2)
-    for start in range(0, len(rows), BLOCK_ROWS):
-        bx, by = rows[start:start + BLOCK_ROWS].T
+    _swirl_rows(p, rows, 0, len(rows))
+    return out
+
+
+def _swirl_rows(p: MpaParams, rows: NDArray[np.float64], start: int, stop: int) -> None:
+    """Apply the swirl in place to rows ``start`` to ``stop`` of ``rows``, shape ``(m, 2)``.
+
+    The rows go :data:`BLOCK_ROWS` at a time, and only those inside the cutoff
+    are rotated, so the temporaries stay a few hundred kB whatever the range.
+    The cutoff is decided by ``np.hypot`` through :func:`_inside_cutoff`, whose
+    gathered coordinates are the ones rotated.  Each row's result depends on
+    that row alone, so disjoint ranges may run on different threads.
+    """
+    for first in range(start, stop, BLOCK_ROWS):
+        bx, by = rows[first:min(first + BLOCK_ROWS, stop)].T
         inside, x, y, theta = _inside_cutoff(bx, by, p.c)
         theta -= p.c  # the radii, made the angle a * (r - c) in place
         theta *= p.a
         cos_t, sin_t = np.cos(theta), np.sin(theta)
         bx[inside] = cos_t * x - sin_t * y
         by[inside] = sin_t * x + cos_t * y
-    return out
 
 
 def _inside_cutoff(x: NDArray[np.float64], y: NDArray[np.float64],
@@ -368,7 +403,15 @@ def apply_pipeline(A: Mixing2, p: MpaParams, zs: Dataset) -> tuple[Dataset, Data
 
     Produces the observations ``X_i = A z_i`` and the alternate latents
     ``Z'_i = swirl(A^{-1} X_i)``; row ``i`` corresponds across all three
-    datasets.
+    datasets, and each is bit for bit ``mix(A, zs.points)`` and
+    ``mpa_forward(p, unmix(A, X.points))``.
+
+    The swirl of ``Z'`` runs on two threads.  One worker thread is started
+    before ``X`` is allocated and waits for the unmixed rows; this thread then
+    rotates the first half of their blocks and the worker the rest, with
+    :func:`_swirl_rows`.  The worker is joined before this function returns or
+    raises, so a process that forks after it (the CLI's cloud writers) never
+    forks with a live thread.  An error on either thread reaches the caller.
 
     Raises
     ------
@@ -379,10 +422,22 @@ def apply_pipeline(A: Mixing2, p: MpaParams, zs: Dataset) -> tuple[Dataset, Data
         raise LabelMismatchError(
             f"pipeline input must be labelled {LATENT_Z!r}, got {zs.label!r}"
         )
-    # each cloud is built from its expression, so its temporaries die once it is copied
-    x = Dataset(points=mix(A, zs.points), label=OBSERVED_X, seed=zs.seed)
-    zp = Dataset(points=mpa_forward(p, unmix(A, x.points)), label=LATENT_ZPRIME, seed=zs.seed)
-    return x, zp
+    from concurrent.futures import Future, ThreadPoolExecutor  # here, so that importing stays fast
+
+    handoff = Future()  # the worker's half: the rows, where it starts and where it stops
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        second_half = worker.submit(lambda: _swirl_rows(p, *handoff.result()))
+        try:
+            # each cloud is built from its expression, so its temporaries die once it is copied
+            x = Dataset(points=mix(A, zs.points), label=OBSERVED_X, seed=zs.seed)
+            rows = _as_points(unmix(A, x.points)).copy(order="F")
+            split = (len(rows) + BLOCK_ROWS) // (2 * BLOCK_ROWS) * BLOCK_ROWS  # half, in blocks
+            handoff.set_result((rows, split, len(rows)))
+            _swirl_rows(p, rows, 0, split)
+        finally:
+            handoff.cancel()  # lets a worker still waiting for its half end; else a no-op
+    second_half.result()
+    return x, Dataset(points=rows, label=LATENT_ZPRIME, seed=zs.seed)
 
 
 def jacobian_det_fd(

@@ -2,7 +2,9 @@
 
 import contextlib
 import io
+import sys
 import tempfile
+import threading
 import warnings
 from functools import partial
 from pathlib import Path
@@ -283,6 +285,104 @@ def test_maps_give_the_same_bits_for_either_layout(n, A):
         assert f(stacked).tobytes() == f(np.asfortranarray(stacked)).tobytes()
     assert np.array_equal(sa.mpa_forward(p, np.asfortranarray(stacked)).view(np.uint64),
                           reference_swirl(p, stacked).view(np.uint64))
+
+
+def accepted_mixing(rows):
+    """The mixing with ``rows``, or None where ``Mixing2`` refuses them."""
+    try:
+        return sa.Mixing2.from_rows(*rows)
+    except ValueError:
+        return None
+
+
+# every mixing that Mixing2 accepts, over the span of mixing_rows()
+mixings = mixing_rows().map(accepted_mixing).filter(lambda A: A is not None)
+
+BLOCK = sa.transforms.BLOCK_ROWS
+# a block of one row would take numpy's vector path; these put one row past a block edge
+BLOCK_EDGE_SIZES = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=mixings, n=st.sampled_from(BLOCK_EDGE_SIZES), seed=st.integers(0, 2**32 - 1))
+def test_blocked_mixing_gives_the_bits_of_the_whole_array_product(A, n, seed):
+    z = sa.sample_uniform_square(n, seed).points
+    for points in (z, np.ascontiguousarray(z), z[0], np.stack([z, -z])):  # 2-D, 1-D, 3-D
+        x = sa.mix(A, points)
+        assert x.shape == points.shape
+        assert x.tobytes() == (points @ A.matrix.T).tobytes()
+        assert sa.unmix(A, x).tobytes() == (x @ A.inverse.T).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    A=mixings,
+    a=st.floats(-1000.0, 1000.0).filter(lambda a: a != 0.0),
+    c=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    n=st.sampled_from(BLOCK_EDGE_SIZES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shared_swirl_gives_the_bits_of_one_thread(A, a, c, n, seed):
+    p = sa.MpaParams(a, c)
+    Z = sa.sample_uniform_square(n, seed)
+    X, Zp = sa.apply_pipeline(A, p, Z)
+    assert X.points.tobytes() == sa.mix(A, Z.points).tobytes()
+    assert Zp.points.tobytes() == sa.mpa_forward(p, sa.unmix(A, X.points)).tobytes()
+
+
+def test_shared_swirl_keeps_its_bits_under_frequent_thread_switches():
+    # three pipelines at once, each with its worker: six threads, switching
+    # every microsecond; a row that either half lost or rotated twice would show
+    A, p = A_DEFAULT(), P_DEFAULT()
+    clouds = [sa.sample_uniform_square(40_000, seed) for seed in range(3)]
+    expected = [sa.mpa_forward(p, sa.unmix(A, sa.mix(A, Z.points))).tobytes() for Z in clouds]
+    results = [None] * len(clouds)
+
+    def pipeline(k):
+        results[k] = sa.apply_pipeline(A, p, clouds[k])[1].points.tobytes()
+
+    callers = [threading.Thread(target=pipeline, args=(k,)) for k in range(len(clouds))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == expected
+
+
+def test_generate_and_apply_pipeline_leave_no_thread():
+    threads = threading.active_count()
+    Z, _, _ = generate(A_DEFAULT(), P_DEFAULT(), 40_000, 3)
+    assert threading.active_count() == threads
+    sa.apply_pipeline(A_DEFAULT(), P_DEFAULT(), Z)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("where", ["mixing", "calling thread's half", "worker's half"])
+def test_pipeline_error_reaches_the_caller_and_the_worker_is_joined(monkeypatch, where):
+    kernel = sa.transforms._swirl_rows
+
+    def failing_swirl(p, rows, start, stop):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        if where == ("worker's half" if on_worker else "calling thread's half"):
+            raise RuntimeError(where)
+        kernel(p, rows, start, stop)
+
+    def failing_mix(A, z):  # before the worker has its half: it must stop waiting
+        raise RuntimeError(where)
+
+    monkeypatch.setattr(sa.transforms, "_swirl_rows", failing_swirl)
+    if where == "mixing":
+        monkeypatch.setattr(sa.transforms, "mix", failing_mix)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"^{where}$"):
+        generate(A_DEFAULT(), P_DEFAULT(), 40_000, 3)
+    assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------------------
