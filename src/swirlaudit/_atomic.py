@@ -5,12 +5,13 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import IO, Iterator
 
 
 @contextmanager
-def atomic_write(path: str | Path) -> Iterator[TextIO]:
-    """Write UTF-8 text to a temporary file beside ``path``, then move it over ``path``.
+def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Write UTF-8 text, or bytes if ``binary``, to a temporary file beside ``path``,
+    then move it over ``path``.
 
     ``path`` holds either its old contents or the complete new ones, never a
     partial write.  If the body or the final move fails, the temporary file
@@ -18,7 +19,7 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="\n")
     try:
         with fh:
             yield fh

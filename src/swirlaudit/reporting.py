@@ -50,91 +50,85 @@ CSV_BLOCK_ROWS = 8192
 # D = round(v * 10**(16 - X)), rounded half to even, where X is the decimal
 # exponent for which 10**16 <= D < 10**17.  The point goes after digit X + 1,
 # or after "0." and -X - 1 zeros when X < 0.  Then trailing fractional zeros
-# are dropped, and the point too when no fraction is left.  With
-# v = m * 2**e (m < 2**53) and p = 16 - X, D = round(m * 5**p * 2**(e + p)),
-# computed exactly in two uint64 limbs.  Every other value goes through
-# "%.17g" itself: zeros, |v| < 1e-4 (exponent form), subnormals, |v| >= 2**53,
-# NaN and infinities.
+# are dropped, and the point too when no fraction is left.  D is exact in
+# float64: 10**p is exact for p = 16 - X <= 22, Dekker's TwoProduct (Numer.
+# Math. 18, 1971) gives v * 10**p = hi + lo exactly, and hi >= 2**53 is an even
+# integer, so D = hi + rint(lo) rounds half to even.  Every other value goes
+# through "%.17g" itself: zeros, |v| < 1e-4 (exponent form), subnormals,
+# |v| >= 2**53, NaN and infinities.
 #
-# A value's text is built in a 40-byte row: the sign, the "0." and zeros
-# that lead X < 0, then the 17 digits at the even bytes 6, 8, ..., 38, each
-# followed by a byte that may hold the point; byte 39 holds the separator.
-# Zero bytes are padding, deleted when the block is joined into one string.
-_ROW_BYTES = 40
-_U64 = np.uint64  # every operand of the limb arithmetic: with int64 it would become float64
-_ONE, _THREE, _U32, _U52, _U64_BITS = _U64(1), _U64(3), _U64(32), _U64(52), _U64(64)
-_LOW32 = _U64(0xFFFFFFFF)
-_MANTISSA, _HIDDEN_BIT = _U64((1 << 52) - 1), _U64(1 << 52)
-_E8, _E16, _E17 = _U64(10 ** 8), _U64(10 ** 16), _U64(10 ** 17)
-# 5**p in 32-bit halves, for every p that an exponent guess can give (0..21)
-_POW5_HI = np.array([5 ** p >> 32 for p in range(22)], dtype=np.uint64)
-_POW5_LO = np.array([5 ** p & 0xFFFFFFFF for p in range(22)], dtype=np.uint64)
-# 10**(16 - X): D has a fraction iff D % this is not 0 (rows with X < 0 ignore it)
-_FRACTION_UNIT = np.array([10 ** (16 - max(x, 0)) for x in range(-4, 16)], dtype=np.uint64)
+# A value's text is built in a 24-byte row of three uint64 words, separator
+# first, so a file is its header, "\n" + x + "," + y for each point, and "\n".
+# After the separator come the sign and, for X < 0, the "0." and zeros that
+# lead the digits; the leading digit is byte 7 and the other 16 fill bytes
+# 8-23, trailing zeros blanked.  With X >= 0 the sign and integer digits move
+# one byte left, and the point follows them if a fraction is left.  A text
+# too long for its row (-1.7976931348623157e+308) has its last byte spliced in
+# after the row.  Zero bytes are padding, deleted when the block is joined.
+_ROW_BYTES = 24
+_U64 = np.uint64
+_U32, _E8, _E16, _E17 = _U64(32), _U64(10 ** 8), _U64(10 ** 16), _U64(10 ** 17)
+_BLANKED = 10000  # offset of the digit table's entries with trailing zeros blanked
+_TEN = 10.0 ** np.arange(22)  # every 10**p an exponent guess can ask for, all exact
+_POWERS_OF_TEN = np.array([10.0 ** k for k in range(-4, 17)])  # entry k + 4
 
 
-def _digit_tables() -> tuple[NDArray[np.uint64], NDArray[np.uint64]]:
-    """Digits as 8-byte words, each digit at an even byte of its word.
+def _veltkamp(a):
+    """Split ``a`` into two halves of at most 26 significant bits each, summing to ``a``."""
+    scaled = a * (2.0 ** 27 + 1)
+    high = scaled - (scaled - a)
+    return high, a - high
 
-    Entry k < 10000 of the first table holds the four digits of k (leading
-    zeros kept); entry 10000 + k holds them with the trailing zeros blanked.
-    Entry k of the second table holds the single digit k at byte 6, where a
-    row's leading digit goes.
+
+_TEN_HIGH, _TEN_LOW = _veltkamp(_TEN)
+
+
+def _digit_table() -> NDArray[np.uint64]:
+    """Four digits in the low half of a uint64.
+
+    Entry k < 10000 holds the four digits of k (leading zeros kept); entry
+    10000 + k holds them with the trailing zeros blanked.
     """
     place = np.array([1000, 100, 10, 1], dtype=np.uint16)  # small dtypes keep import RSS flat
     four = (np.arange(10000, dtype=np.uint16)[:, None] // place % np.uint16(10)).astype(np.uint8)
     four += ord("0")
     trailing = np.logical_and.accumulate(four[:, ::-1] == ord("0"), axis=1)[:, ::-1]
-    groups = np.zeros((2, 10000, 8), dtype=np.uint8)
-    groups[:, :, ::2] = four
-    groups[1, :, ::2][trailing] = 0
-    lead = np.zeros((10, 8), dtype=np.uint8)
-    lead[:, 6] = ord("0") + np.arange(10)
-    return groups.view(np.uint64).ravel(), lead.view(np.uint64).ravel()
+    groups = np.stack([four, np.where(trailing, np.uint8(0), four)])
+    return groups.view(np.uint32).ravel().astype(np.uint64)
 
 
-def _row_templates() -> NDArray[np.uint64]:
-    """Everything of a row but its digits, for each (X + 4, point, negative, column).
-
-    Integer digit positions hold "0", so that a digit blanked as a trailing
-    zero still prints there; the digit bytes are OR-ed over it.
-    """
-    rows = np.zeros((20, 2, 2, 2, _ROW_BYTES), dtype=np.uint8)
-    rows[:, :, 1, :, 0] = ord("-")
-    rows[..., 0, -1] = ord(",")
-    rows[..., 1, -1] = ord("\n")
-    for x in range(-4, 0):
-        lead = np.frombuffer(b"0." + b"0" * (-x - 1), dtype=np.uint8)
-        rows[x + 4, ..., 1:1 + len(lead)] = lead
-    for x in range(16):
-        rows[x + 4, ..., 6:7 + 2 * x:2] = ord("0")
-        rows[x + 4, 1, ..., 7 + 2 * x] = ord(".")
-    return rows.reshape(-1, _ROW_BYTES).view(np.uint64)
+def _row_heads() -> NDArray[np.uint64]:
+    """Word 0 of a row for each (X + 4, leading digit, negative, column): the
+    separator, the sign, the zeros that lead X < 0 and the leading digit."""
+    heads = np.zeros((20, 10, 2, 2, 8), dtype=np.uint8)
+    heads[..., 0, 0] = ord("\n")
+    heads[..., 1, 0] = ord(",")
+    heads[..., 7] = (ord("0") + np.arange(10, dtype=np.uint8))[:, None, None]
+    for x in range(-4, 16):
+        lead = np.frombuffer(b"0." + b"0" * (-x - 1) if x < 0 else b"", dtype=np.uint8)
+        heads[x + 4, ..., 7 - len(lead):7] = lead
+        heads[x + 4, :, 1, :, 6 - len(lead)] = ord("-")
+    return heads.view(np.uint64).ravel()
 
 
-_DIGIT_GROUPS, _LEAD_DIGIT = _digit_tables()
-_ROW_TEMPLATES = _row_templates()
+_DIGITS = _digit_table()
+_ROW_HEADS = _row_heads()
 
 
-def _significand(m8, e, x):
-    """``round(m8 / 8 * 2**e * 10**(16 - x))``, half to even, exactly.
-
-    ``m8 = 8 m < 2**56`` and ``5**(16 - x) < 2**49``, so the product of their
-    32-bit halves fits two uint64 limbs, and the shift is 3 - e - p >= 1.
-    """
+def _significand(mag, x):
+    """``round(mag * 10**(16 - x))``, half to even, exact where it is at least 2**53;
+    a smaller result, below 10**16, only flags a wrong ``x``."""
     p = 16 - x
-    f_hi, f_lo = _POW5_HI[p], _POW5_LO[p]
-    m_hi, m_lo = m8 >> _U32, m8 & _LOW32
-    mid = m_hi * f_lo + m_lo * f_hi
-    low = m_lo * f_lo
-    lo = low + (mid << _U32)
-    hi = m_hi * f_hi + (mid >> _U32) + (lo < low)  # lo < low: the carry
-    shift = (x - e - 13).astype(np.uint64)
-    q = (lo >> shift) | (hi << (_U64_BITS - shift))
-    shift -= _ONE
-    half = (lo >> shift) & _ONE
-    below_half = (lo & ((_ONE << shift) - _ONE)) != 0
-    return q + (half & (below_half | (q & _ONE)))
+    hi = mag * _TEN[p]
+    mag_high, mag_low = _veltkamp(mag)
+    ten_high, ten_low = _TEN_HIGH[p], _TEN_LOW[p]
+    lo = mag_high * ten_high - hi  # the four partial products are exact
+    lo += mag_high * ten_low
+    lo += mag_low * ten_high
+    lo += mag_low * ten_low
+    d = hi.astype(np.uint64)
+    d += np.rint(lo).astype(np.int64).view(np.uint64)  # wraps to a subtraction when lo < 0
+    return d
 
 
 def _divmod(values, unit):
@@ -144,56 +138,80 @@ def _divmod(values, unit):
     return quotient, values - quotient * unit
 
 
-def _format_rows(block: NDArray[np.float64]) -> str:
+def _format_rows(block: NDArray[np.float64]) -> bytes:
     """``"%.17g"`` of each value of the ``(m, 2)`` block, each row's two values
-    joined by "," and ended by a newline, as one string.
+    preceded by a newline and joined by ",", as one byte string.
 
-    The columns are read in place, with no interleaving copy of the block: every
-    per-value array holds the first column's values, then the second's, and the
-    copy that makes the bytes takes each row's two texts in turn.
+    The columns are read in place, with no interleaving copy of the block:
+    every per-value array holds the first column's values, then the
+    second's, and each word is copied into the rows one column at a time.
     """
     m = len(block)
     values = block.T
     mag = np.abs(values).ravel()
     fast = (mag >= 1e-4) & (mag < 2.0 ** 53)
     mag[~fast] = 1.0  # their rows are overwritten below
-    bits = mag.view(np.uint64)
-    biased = (bits >> _U52).astype(np.int64)
-    m8 = ((bits & _MANTISSA) | _HIDDEN_BIT) << _THREE
-    e = biased - 1075
-    # guess X from log10, held to the two values that the binary exponent
-    # allows, floor((biased - 1023) * log10(2)) and one more; then correct it
-    floor_x = ((biased - 1023) * 78913) >> 18
-    x = np.clip(np.floor(np.log10(mag)).astype(np.int64), floor_x, floor_x + 1)
-    d = _significand(m8, e, x)
+    biased = mag.view(np.intp) >> 52  # the biased binary exponent
+    # floor((biased - 1023) * log10(2)) is X or X - 1; a comparison with the
+    # next power of ten picks one, and the loop corrects any guess still wrong
+    x = ((biased - 1023) * 78913) >> 18
+    x += mag >= _POWERS_OF_TEN[x + 5]
+    d = _significand(mag, x)
     wrong = np.flatnonzero((d < _E16) | (d >= _E17))
     while wrong.size:  # a guess off by one, or D rounded up to 10**17
         x[wrong] += np.where(d[wrong] < _E16, -1, 1)
-        d[wrong] = _significand(m8[wrong], e[wrong], x[wrong])
+        d[wrong] = _significand(mag[wrong], x[wrong])
         wrong = wrong[(d[wrong] < _E16) | (d[wrong] >= _E17)]
 
     top, bottom = _divmod(d, _E8)
     lead, top = _divmod(top.astype(np.uint32), np.uint32(10 ** 8))
     g1, g2 = _divmod(top, np.uint32(10 ** 4))
     g3, g4 = _divmod(bottom.astype(np.uint32), np.uint32(10 ** 4))
-    words = np.empty((2 * m, _ROW_BYTES // 8), dtype=np.uint64)  # the rows, column by column
-    words[:, 0] = _LEAD_DIGIT[lead]
-    last = np.ones(2 * m, dtype=bool)  # no later group has a digit other than 0
-    for col, group in ((4, g4), (3, g3), (2, g2), (1, g1)):
-        words[:, col] = _DIGIT_GROUPS[group + 10000 * last]
-        last &= group == 0
-    point = d % _FRACTION_UNIT[x + 4] != 0
-    template = (x + 4) * 8 + point * 4 + (values < 0).ravel() * 2
-    template[m:] += 1
-    words |= np.take(_ROW_TEMPLATES, template, axis=0)
+    head = (x * 10 + 40 + lead) * 4 + np.signbit(values).ravel() * 2
+    head[m:] += 1
+    words = [np.take(_ROW_HEADS, head)]
+    for low, high in ((g1, g2), (g3, g4 + _BLANKED)):  # four digits in each half of a word
+        word = np.take(_DIGITS, high.astype(np.intp)) << _U32
+        words.append(word | np.take(_DIGITS, low.astype(np.intp)))
+    # the last four digits come with trailing zeros blanked; blank those before
+    # them too: in word 2 where its high half is blank, in word 1 where word 2 is
+    blank = np.flatnonzero(g4 == 0)
+    for word, low, high in ((words[2], g3, g4), (words[1], g1, g2)):
+        low, high = low[blank], high[blank]
+        word[blank] = _DIGITS[high + _BLANKED] << _U32 | _DIGITS[low + _BLANKED * (high == 0)]
+        blank = blank[(low == 0) & (high == 0)]
+    rows = np.empty((m, 2, _ROW_BYTES // 8), dtype=np.uint64)
+    for k, word in enumerate(words):
+        rows[:, 0, k] = word[:m]
+        rows[:, 1, k] = word[m:]
+    text = rows.view(np.uint8).reshape(2 * m, _ROW_BYTES)
 
-    text = words.view(np.uint8)
-    for i in np.flatnonzero(~fast):
-        row = ("%.17g" % values.flat[i] + ",\n"[i // m]).encode()
-        text[i] = 0
-        text[i, :len(row)] = np.frombuffer(row, dtype=np.uint8)
-    rows = text.reshape(2, m, _ROW_BYTES).transpose(1, 0, 2)  # each row's two texts
-    return rows.tobytes().translate(None, b"\0").decode("ascii")
+    def row_of(i):  # the row of text of value i
+        return 2 * i - (i >= m) * (2 * m - 1)
+
+    integral = np.flatnonzero(x >= 0)
+    integral_x = x[integral]
+    for xi in np.flatnonzero(np.bincount(integral_x)).tolist():  # np.unique would import numpy.ma
+        r = row_of(integral[integral_x == xi])
+        t = text[r]
+        t[:, 8:8 + xi] |= ord("0")  # integer digits blanked as trailing zeros
+        t[:, 5:7 + xi] = t[:, 6:8 + xi]
+        t[:, 7 + xi] = np.where(t[:, 8 + xi] != 0, ord("."), 0)
+        text[r] = t
+
+    spills = []
+    for i in np.flatnonzero(~fast).tolist():
+        row = ("\n,"[i // m] + "%.17g" % values.flat[i]).encode()
+        r = row_of(i)
+        text[r] = np.frombuffer(row[:_ROW_BYTES].ljust(_ROW_BYTES, b"\0"), dtype=np.uint8)
+        if len(row) > _ROW_BYTES:
+            spills.append((r, row[_ROW_BYTES:]))
+    spills.sort()  # in the order of the rows, not of the values
+    padded = rows.tobytes()
+    cuts = [0] + [(r + 1) * _ROW_BYTES for r, _ in spills] + [len(padded)]
+    tails = [tail for _, tail in spills] + [b""]
+    return b"".join(padded[start:end].translate(None, b"\0") + tail
+                    for start, end, tail in zip(cuts, cuts[1:], tails))
 
 
 def write_cloud_csv(path: str | Path, points: NDArray[np.float64], header: str = "z1,z2") -> None:
@@ -203,10 +221,11 @@ def write_cloud_csv(path: str | Path, points: NDArray[np.float64], header: str =
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
-    with atomic_write(path) as fh:
-        fh.write(header + "\n")
+    with atomic_write(path, binary=True) as fh:
+        fh.write(header.encode())
         for start in range(0, len(pts), CSV_BLOCK_ROWS):
             fh.write(_format_rows(pts[start:start + CSV_BLOCK_ROWS]))
+        fh.write(b"\n")
 
 
 def _utf8_lines(path: str | Path, fh):

@@ -43,6 +43,10 @@ EDGE_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e16, -1e1
                0.09999999999999999, 0.10000000000000002, 999999999999999.9, 1000000000000000.1]
 
 
+# the longest "%.17g" texts, with three different last characters
+LONGEST_TEXTS = [-1.7976931348623157e308, -2.2250738585072014e-308, -1.3407807929857256e154]
+
+
 def reference_cloud_csv(points, header):
     """The writer's byte format, one row at a time."""
     rows = "".join(f"{x:.17g},{y:.17g}\n" for x, y in points.tolist())
@@ -60,6 +64,9 @@ def reference_cloud_csv(points, header):
     ),
 )
 @example(n=65537, values=EDGE_VALUES)
+# every text 24 characters long, too long for the writer's rows, in both columns of every row
+@example(n=8192, values=LONGEST_TEXTS)
+@example(n=8193, values=LONGEST_TEXTS)
 def test_cloud_csv_bytes_match_per_row_reference(tmp_path, n, values):
     # n straddles the writer's block size; the values repeat to fill n rows
     pts = np.resize(np.array(values, dtype=np.float64), (n, 2))
@@ -69,6 +76,34 @@ def test_cloud_csv_bytes_match_per_row_reference(tmp_path, n, values):
     back, header = read_cloud_csv(path)
     assert header == "x1,x2"
     assert back.tobytes() == pts.tobytes()  # bit-equal, signed zeros included
+
+
+def fixed_notation(x, digits):
+    """The fixed-notation text of "%.17g" with decimal exponent ``x`` and significant ``digits``."""
+    if x < 0:
+        return "0." + "0" * (-x - 1) + digits
+    return digits[:x + 1].ljust(x + 1, "0") + ("." + digits[x + 1:] if digits[x + 1:] else "")
+
+
+def test_cloud_csv_writes_every_fixed_notation_shape(tmp_path):
+    # for each decimal exponent X in [-4, 15] and each count of trailing fractional
+    # zeros, a decimal string of that shape that "%.17g" gives back; an all-zero
+    # fraction prints no point
+    texts = []
+    for x in range(-4, 16):
+        for zeros in range(17 - max(x, 0)):
+            size = 17 - zeros  # significant digits, the last one not 0
+            candidates = [fixed_notation(x, (str(k) + "123456789" * 2)[:size - 1] + str(last))
+                          for k in range(1, 100) for last in range(1, 10)]
+            texts.append(next((s for s in candidates if f"{float(s):.17g}" == s), None))
+    assert None not in texts and len(texts) == 4 * 17 + sum(range(2, 18))
+    assert sum("." not in s for s in texts) == 16
+    values = np.array([float(s) for s in texts])
+    pts = np.column_stack([values, -values])
+    pts = np.concatenate([pts, -pts])  # both signs in both columns
+    path = tmp_path / "shapes.csv"
+    write_cloud_csv(path, pts)
+    assert path.read_bytes() == reference_cloud_csv(pts, "z1,z2")
 
 
 def is_17_digit_tie(value):
