@@ -32,6 +32,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
+from swirlaudit._worker import share_with_worker
 from swirlaudit.errors import ConfigError, InvalidDomainError, PairingError, UndersampledError
 from swirlaudit.transforms import (
     BLOCK_ROWS,
@@ -355,8 +356,8 @@ def check_continuity(
     -------
     (passed, max_ratio)
     """
-    if n_pairs < 100:
-        raise ValueError(f"need at least 100 pairs for the sweep, got {n_pairs}")
+    if problem := integer_problem("n_pairs", n_pairs, 100):
+        raise ValueError(problem)
     box = np.asarray(domain_box, dtype=np.float64)
     if box.shape != (2, 2) or not np.all(np.isfinite(box)):
         raise InvalidDomainError(f"domain box must be finite with shape (2, 2), got {box!r}")
@@ -839,12 +840,8 @@ def run_audit(A: Mixing2, p: MpaParams, n: int, seed: int, **options) -> AuditRe
     return audit_pair(Z, Zp, maps=(A, p, X), settings=settings)
 
 
-def _report_tasks(
-    Z: Dataset,
-    Zp: Dataset,
-    maps: tuple[Mixing2, MpaParams, Dataset] | None,
-    settings: AuditSettings,
-) -> list[Callable[[], Premise | float]]:
+def _report_tasks(Z: Dataset, Zp: Dataset, maps: tuple[Mixing2, MpaParams, Dataset] | None,
+                  settings: AuditSettings) -> list[Callable[[], Premise | float]]:
     """Every check of :func:`audit_pair` but the relation, one task per entry of its
     report and in the report's order: continuity (both sweeps, on X's bounding box),
     sigma-algebra, compact support (both clouds), each cloud's support grid, each
@@ -916,37 +913,17 @@ def audit_pair(
     :class:`PairingError`, and an ``n`` below any floor of :data:`SAMPLE_FLOORS`
     raises one :class:`UndersampledError` that names every floor missed.
 
-    Every check but the relation is queued to a worker thread, one task per report entry
-    and in the report's order: continuity (both sweeps), sigma-algebra, compact support
-    (both clouds), each cloud's support grid, and uniformity.  This thread runs the
-    relation check, then takes the queue's unstarted tasks from its tail, one at a time,
-    until the worker has started the next; so both threads finish together, whichever
-    half is the longer at this ``n``.  numpy releases the interpreter lock in the
-    checks' sorts, gathers and loops, so the threads overlap; every check is a pure
-    function of the read-only clouds, so the report is the one a single thread makes.  A
-    failing check raises its own error: the relation's, or else the first in queue
-    order, whichever thread ran it.  The audit's largest temporaries, the relation
-    check's, come from the heap that made the clouds, not from a second allocator arena;
-    the other checks' stay small on either thread, since they work in blocks of rows.
-    The worker is joined before this function returns or raises, so a process that forks
-    around the audit (the CLI's cloud writers) never forks with a live thread.
+    The relation check runs on this thread, and every other check is a task of
+    :func:`~swirlaudit._worker.share_with_worker`, one per report entry (:func:`_report_tasks`).
+    Every check is a pure function of the read-only clouds, so the report is the one a
+    single thread makes.  The relation check's temporaries, the audit's largest, come from
+    the heap that made the clouds; the other checks' stay small on either thread, since
+    they work in blocks of rows.
     """
     _require_paired(Z, Zp)
     _require_samples(Z.n, **{key: getattr(settings, key) for _, key, _ in SAMPLE_FLOORS})
-    from concurrent.futures import Future, ThreadPoolExecutor  # here, so that importing stays fast
-
-    tasks = _report_tasks(Z, Zp, maps, settings)
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        queued = [worker.submit(task) for task in tasks]
-        conclusion = check_coordinatewise_relation(Z, Zp, bins=settings.bins_relation,
-                                                   threshold=settings.functional_threshold)
-        for k in reversed(range(len(tasks))):
-            if not queued[k].cancel():  # the worker has started it, and every task before it
-                break
-            queued[k] = Future()
-            try:
-                queued[k].set_result(tasks[k]())
-            except Exception as error:  # kept, as the worker keeps its own, to raise in queue order
-                queued[k].set_exception(error)
-    *premises, pvalue = [done.result() for done in queued]
+    conclusion, (*premises, pvalue) = share_with_worker(
+        _report_tasks(Z, Zp, maps, settings),
+        lambda: check_coordinatewise_relation(Z, Zp, bins=settings.bins_relation,
+                                              threshold=settings.functional_threshold))
     return AuditReport(tuple(premises), pvalue, settings.alpha, conclusion)

@@ -9,21 +9,23 @@ in the pipeline has an exact analytic inverse; the statistical audits in
 
 All operations are pure functions of their inputs and vectorize over arrays
 of points with shape ``(..., 2)``.  Datasets are immutable once created, so
-everything here is safe to evaluate in parallel.  :func:`apply_pipeline`
-itself shares the swirl with one worker thread, which it joins before it
-returns, and the mixing multiplies blocks of rows, so that no call here
-leaves OpenBLAS's thread pool running.
+everything here is safe to evaluate in parallel.  :func:`apply_pipeline` shares
+the swirl with one worker thread, which :func:`~swirlaudit._worker.share_with_worker`
+joins before it returns, and the mixing multiplies blocks of rows, so that no call
+here leaves a thread running, OpenBLAS's pool included.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
+from swirlaudit._worker import share_with_worker
 from swirlaudit.errors import (
     EmptyDatasetError,
     IllConditionedPointError,
@@ -171,7 +173,8 @@ class Mixing2:
     Construction rejects near-singular matrices (``|det| <= 1e-9``), verifies
     ``A @ A^{-1} = I`` to 1e-12 entrywise, and rejects matrices whose round
     trip ``unmix(mix(z))`` may move a point of the square by more than
-    ``SIGMA_PROXY_TOL``, since the audit could not tell that from the swirl.
+    ``SIGMA_PROXY_TOL``, since the audit could not tell that from the swirl, and
+    matrices that map the square past a quarter of the largest float.
     The inverse is computed with the closed-form adjugate formula, so
     ``unmix`` is deterministic and as accurate as the conditioning allows.
     """
@@ -190,6 +193,7 @@ class Mixing2:
             det = float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
             inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
             inverts = np.allclose(a @ inv, np.eye(2), rtol=0.0, atol=_INVERSE_TOL)
+            reach = float(np.abs(a).sum(axis=1).max())  # the largest |x| on the square
         if abs(det) <= DET_EPSILON:
             raise ValueError(
                 f"mixing matrix is numerically singular: |det| = {abs(det):.3e} <= {DET_EPSILON}"
@@ -206,6 +210,8 @@ class Mixing2:
                 "mixing matrix too ill-conditioned for the audit: unmix(mix(z)) may be off by "
                 f"{round_trip:.3e} > {SIGMA_PROXY_TOL} on the square"
             )
+        if not np.isfinite(4.0 * reach):  # the sweep's box and the SVG's offsets reach 2x as far
+            raise ValueError(f"mixing matrix too large: |x| reaches {reach:.3e} on the square")
         a.flags.writeable = False
         inv.flags.writeable = False
         object.__setattr__(self, "matrix", a)
@@ -344,8 +350,8 @@ def mpa_forward(p: MpaParams, z: ArrayLike) -> NDArray[np.float64]:
     Rotation preserves the radius, hence the map preserves the uniform
     distribution on any radially symmetric region and on the square.
 
-    The map rotates a copy of the points in place with :func:`_swirl_rows`, on
-    this thread.  Points outside the cutoff are the copied ones: they come back
+    The map rotates a copy of the points in place with :func:`_swirl_rows`.
+    Points outside the cutoff are the copied ones: they come back
     unchanged bit for bit, signed zeros included.  The copy of a 2-D ``z`` is
     column-major, as a :class:`Dataset` is, so each block's coordinates are
     contiguous; other shapes stay row-major, where the rows are a view of the copy.
@@ -406,12 +412,8 @@ def apply_pipeline(A: Mixing2, p: MpaParams, zs: Dataset) -> tuple[Dataset, Data
     datasets, and each is bit for bit ``mix(A, zs.points)`` and
     ``mpa_forward(p, unmix(A, X.points))``.
 
-    The swirl of ``Z'`` runs on two threads.  One worker thread is started
-    before ``X`` is allocated and waits for the unmixed rows; this thread then
-    rotates the first half of their blocks and the worker the rest, with
-    :func:`_swirl_rows`.  The worker is joined before this function returns or
-    raises, so a process that forks after it (the CLI's cloud writers) never
-    forks with a live thread.  An error on either thread reaches the caller.
+    The swirl of ``Z'`` is shared with one worker thread: each block of :data:`BLOCK_ROWS`
+    rows is one :func:`_swirl_rows` task of :func:`~swirlaudit._worker.share_with_worker`.
 
     Raises
     ------
@@ -422,22 +424,15 @@ def apply_pipeline(A: Mixing2, p: MpaParams, zs: Dataset) -> tuple[Dataset, Data
         raise LabelMismatchError(
             f"pipeline input must be labelled {LATENT_Z!r}, got {zs.label!r}"
         )
-    from concurrent.futures import Future, ThreadPoolExecutor  # here, so that importing stays fast
-
-    handoff = Future()  # the worker's half: the rows, where it starts and where it stops
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        second_half = worker.submit(lambda: _swirl_rows(p, *handoff.result()))
-        try:
-            # each cloud is built from its expression, so its temporaries die once it is copied
-            x = Dataset(points=mix(A, zs.points), label=OBSERVED_X, seed=zs.seed)
-            rows = _as_points(unmix(A, x.points)).copy(order="F")
-            split = (len(rows) + BLOCK_ROWS) // (2 * BLOCK_ROWS) * BLOCK_ROWS  # half, in blocks
-            handoff.set_result((rows, split, len(rows)))
-            _swirl_rows(p, rows, 0, split)
-        finally:
-            handoff.cancel()  # lets a worker still waiting for its half end; else a no-op
-    second_half.result()
-    return x, Dataset(points=rows, label=LATENT_ZPRIME, seed=zs.seed)
+    x = Dataset(points=mix(A, zs.points), label=OBSERVED_X, seed=zs.seed)
+    # Z' is made in its dataset's copy of X, allocated before any temporary: no hole between clouds
+    zp = Dataset(points=x.points, label=LATENT_ZPRIME, seed=zs.seed)
+    zp.points.flags.writeable = True
+    zp.points[...] = unmix(A, x.points)
+    share_with_worker([partial(_swirl_rows, p, zp.points, start, min(start + BLOCK_ROWS, zp.n))
+                       for start in range(0, zp.n, BLOCK_ROWS)])
+    zp.points.flags.writeable = False
+    return x, zp
 
 
 def jacobian_det_fd(

@@ -111,6 +111,11 @@ def test_continuity_rejects_degenerate_box():
         check_continuity(lambda z: z, SQUARE, n_pairs=10)
 
 
+def test_continuity_refuses_a_pair_count_that_is_no_integer():
+    with pytest.raises(ValueError, match=r"^n_pairs: must be an integer, got 100.5$"):
+        check_continuity(lambda z: z, SQUARE, n_pairs=100.5)
+
+
 @pytest.mark.parametrize("box", [[[-1.0, np.inf], [-1.0, 1.0]], [[-1.0, 1.0], [np.nan, 1.0]],
                                  [[-1.0, 1.0]]])
 def test_continuity_refuses_a_box_that_is_not_finite_and_2x2(box):

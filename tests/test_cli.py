@@ -325,8 +325,8 @@ def test_run_samples_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("module", ["scipy.stats", "multiprocessing", "concurrent.futures"])
 def test_cli_import_does_not_load_scipy_stats(module):
-    # nor any scipy module at all, nor does it start a thread: the workers live
-    # only inside apply_pipeline and audit_pair
+    # nor any scipy module at all, nor does it start a thread: the one worker lives
+    # only inside share_with_worker, which apply_pipeline and audit_pair call
     probe = (f"import sys, threading, swirlaudit.cli; "
              f"print({module!r} in sys.modules, "
              f"any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules), "

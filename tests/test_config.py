@@ -1,6 +1,7 @@
 """Tests for the flat key = value configuration format."""
 
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -170,6 +171,21 @@ def test_overflowing_mixing_is_refused_without_a_warning(rows):
         with pytest.raises(ConfigError, match=r"^invalid configuration:\n  A: mixing matrix too "
                                               r"ill-conditioned: A @ inv\(A\) deviates"):
             RunConfig(mixing=rows)
+
+
+@pytest.mark.parametrize("rows", [
+    (1e308, 0.0, 0.0, 1e-308),  # det 1: sweep box widths of 2e308 would overflow
+    (1.7e308, 0.0, 0.0, 5.88235294117647e-309),  # det 1, a subnormal entry
+])
+def test_mixing_whose_observations_overflow_is_refused_without_a_warning(rows):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reach = re.escape(f"{rows[0]:.3e}")
+        with pytest.raises(ConfigError, match=r"^invalid configuration:\n  A: mixing matrix too "
+                                              rf"large: \|x\| reaches {reach} on the square$"):
+            RunConfig(mixing=rows)
+        # a quarter of the largest float is still accepted
+        RunConfig(mixing=(4.4e307, 0.0, 0.0, 1 / 4.4e307))
 
 
 def test_mixing_needs_four_entries():

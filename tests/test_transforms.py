@@ -5,6 +5,7 @@ import io
 import sys
 import tempfile
 import threading
+import time
 import warnings
 from functools import partial
 from pathlib import Path
@@ -332,7 +333,7 @@ def test_shared_swirl_gives_the_bits_of_one_thread(A, a, c, n, seed):
 
 def test_shared_swirl_keeps_its_bits_under_frequent_thread_switches():
     # three pipelines at once, each with its worker: six threads, switching
-    # every microsecond; a row that either half lost or rotated twice would show
+    # every microsecond; a block that both threads or neither swirled would show
     A, p = A_DEFAULT(), P_DEFAULT()
     clouds = [sa.sample_uniform_square(40_000, seed) for seed in range(3)]
     expected = [sa.mpa_forward(p, sa.unmix(A, sa.mix(A, Z.points))).tobytes() for Z in clouds]
@@ -363,20 +364,52 @@ def test_generate_and_apply_pipeline_leave_no_thread():
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("where", ["mixing", "calling thread's half", "worker's half"])
-def test_pipeline_error_reaches_the_caller_and_the_worker_is_joined(monkeypatch, where):
-    kernel = sa.transforms._swirl_rows
+def first_block_slowed(monkeypatch, then=lambda kernel, *args: kernel(*args)):
+    """Replace ``transforms._swirl_rows`` by a wrapper that records each block's first row
+    and whether the calling thread swirled it, and that calls ``then(kernel, *args)`` in
+    place of the kernel.  The worker's first block sleeps first; the calling thread's
+    blocks wait until the worker has started one.  Return the record."""
+    kernel, started, ran = sa.transforms._swirl_rows, threading.Event(), []
 
-    def failing_swirl(p, rows, start, stop):
+    def swirl(p, rows, start, stop):
+        mine = threading.current_thread() is threading.main_thread()
+        ran.append((start, mine))
+        if mine:
+            assert started.wait(timeout=10)
+        elif not started.is_set():
+            started.set()
+            time.sleep(0.5)
+        return then(kernel, p, rows, start, stop)
+
+    monkeypatch.setattr(sa.transforms, "_swirl_rows", swirl)
+    return ran
+
+
+def test_calling_thread_swirls_the_unstarted_tail_of_the_blocks(monkeypatch):
+    A, p = A_DEFAULT(), P_DEFAULT()
+    Z = sa.sample_uniform_square(3 * BLOCK + 5, 3)
+    ran = first_block_slowed(monkeypatch)
+    threads = threading.active_count()
+    X, Zp = sa.apply_pipeline(A, p, Z)
+    assert threading.active_count() == threads
+    # the worker sleeps in the first block, so this thread swirls every later one
+    assert sorted(ran) == [(0, False), (BLOCK, True), (2 * BLOCK, True), (3 * BLOCK, True)]
+    monkeypatch.undo()
+    assert Zp.points.tobytes() == sa.mpa_forward(p, sa.unmix(A, X.points)).tobytes()
+
+
+@pytest.mark.parametrize("where", ["mixing", "calling thread's block", "worker's block"])
+def test_pipeline_error_reaches_the_caller_and_the_worker_is_joined(monkeypatch, where):
+    def failing_swirl(kernel, p, rows, start, stop):
         on_worker = threading.current_thread() is not threading.main_thread()
-        if where == ("worker's half" if on_worker else "calling thread's half"):
+        if where == ("worker's block" if on_worker else "calling thread's block"):
             raise RuntimeError(where)
         kernel(p, rows, start, stop)
 
-    def failing_mix(A, z):  # before the worker has its half: it must stop waiting
+    def failing_mix(A, z):  # before any thread is started
         raise RuntimeError(where)
 
-    monkeypatch.setattr(sa.transforms, "_swirl_rows", failing_swirl)
+    first_block_slowed(monkeypatch, failing_swirl)
     if where == "mixing":
         monkeypatch.setattr(sa.transforms, "mix", failing_mix)
     threads = threading.active_count()
