@@ -8,14 +8,18 @@ def share_with_worker(tasks: Sequence[Callable[[], Any]],
     """Run ``own()`` on this thread and ``tasks`` on it and one worker; return ``own()``'s
     result and the tasks' results in task order.  The worker takes the tasks from the head;
     this thread runs ``own()``, then takes the unstarted ones from the tail until the worker
-    has started the next, so both finish together.  ``own``'s error is raised, or else the
-    first in task order, whichever thread ran it.  The worker is joined before this returns
-    or raises, so a process that forks after it never forks with a live thread."""
+    has started the next, so both finish together.  ``own``'s error cancels the unstarted
+    tasks and is raised, or else the first in task order, whichever thread ran it.  The
+    worker is joined before this returns or raises: a later fork finds no live thread."""
     from concurrent.futures import Future, ThreadPoolExecutor  # here, so that importing stays fast
 
     with ThreadPoolExecutor(max_workers=1) as worker:
         queued = [worker.submit(task) for task in tasks]
-        mine = own()
+        try:
+            mine = own()
+        except BaseException:
+            worker.shutdown(cancel_futures=True)
+            raise
         for k in reversed(range(len(tasks))):
             if not queued[k].cancel():  # the worker has started it, and every task before it
                 break

@@ -16,10 +16,10 @@ import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from swirlaudit import __version__
-from swirlaudit.audits import AuditSettings, audit_pair, bounding_box, generate, sample_floor_misses
+from swirlaudit.audits import AuditSettings, audit_pair, bounding_box, sample_floor_misses
 from swirlaudit.config import RunConfig, load_config
 from swirlaudit.errors import ConfigError, SwirlAuditError
 from swirlaudit.figures import render_scatter_svg, swirl_profile
@@ -30,7 +30,8 @@ from swirlaudit.reporting import (
     write_profile_csv,
     write_report_json,
 )
-from swirlaudit.transforms import LATENT_Z, LATENT_ZPRIME
+from swirlaudit.transforms import (LATENT_Z, LATENT_ZPRIME, OBSERVED_X, Dataset, apply_pipeline,
+                                   sample_uniform_square)
 
 EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 2
@@ -116,52 +117,64 @@ def _write_cloud_or_exit(*job) -> None:
         sys.exit(EXIT_IO)
 
 
-@contextmanager
-def _emit_bundle(cfg: RunConfig, Z, X, Zp, render: bool) -> Iterator[Path]:
-    """Write the output bundle; the ``with`` body runs while the clouds are written.
+_CLOUD_FILES = {LATENT_Z: ("z", "z1,z2", "sources Z"),
+                OBSERVED_X: ("x", "x1,x2", "observations X"),
+                LATENT_ZPRIME: ("zprime", "z1,z2", "alternate sources Z'")}
 
-    Where the platform can fork, each cloud is formatted and written, then
-    rendered to SVG if asked, by a forked child, which inherits the points
-    instead of receiving a pickled copy, so the three clouds and the body share
-    the cores.  Elsewhere the clouds (and SVGs) are written here before the
-    body.  The profile follows the body.  The children are joined however the
-    body ends; a child that failed raises :class:`OSError` naming its files, so
-    no report is written after it.
+
+@contextmanager
+def _emit_bundle(cfg: RunConfig, render: bool) -> Iterator[tuple[Path, Callable[[Dataset], None]]]:
+    """Make the output directory; yield it and ``write(D)``, which starts writing the cloud
+    ``D`` (file, header and title by ``D.label``) while the ``with`` body goes on.
+
+    Where the platform can fork, ``write`` forks a child that formats and writes the cloud,
+    then renders it to SVG if asked; it inherits the points instead of a pickled copy.  The
+    body calls it with no thread alive.  Elsewhere ``write`` writes the cloud (and SVG)
+    before it returns.  The children are joined however the body ends; a child that failed
+    raises :class:`OSError` naming its files, so no report is written after it.
     """
     import multiprocessing  # here, so that importing the CLI stays fast
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    x_span = None
-    if render:  # the largest |x|, from no temporary the size of X
-        lo, hi = bounding_box(X.points).T
-        x_span = float(max(1.0, -lo.min(), hi.max())) * 1.05
-    clouds = (("z", Z.points, "z1,z2", 1.05, "sources Z"),
-              ("x", X.points, "x1,x2", x_span, "observations X"),
-              ("zprime", Zp.points, "z1,z2", 1.05, "alternate sources Z'"))
     can_fork = "fork" in multiprocessing.get_all_start_methods()
     writers = []
+
+    def write(D: Dataset) -> None:
+        stem, header, title = _CLOUD_FILES[D.label]
+        span = 1.05
+        if render and D.label == OBSERVED_X:  # the largest |x|, from no temporary the size of X
+            lo, hi = bounding_box(D.points).T
+            span = float(max(1.0, -lo.min(), hi.max())) * 1.05
+        svg = (out / f"{stem}.svg", (-span, span), title) if render else None
+        job = (out / f"{stem}.csv", D.points, header, svg)
+        if not can_fork:
+            return _write_cloud(*job)
+        writer = multiprocessing.get_context("fork").Process(
+            target=_write_cloud_or_exit, args=job,
+            name=f"{job[0]} or {svg[0]}" if render else str(job[0]))
+        writer.start()
+        writers.append(writer)
+
     try:
-        for stem, points, header, span, title in clouds:
-            svg = (out / f"{stem}.svg", (-span, span), title) if render else None
-            job = (out / f"{stem}.csv", points, header, svg)
-            if not can_fork:
-                _write_cloud(*job)
-                continue
-            writer = multiprocessing.get_context("fork").Process(
-                target=_write_cloud_or_exit, args=job,
-                name=f"{job[0]} or {svg[0]}" if render else str(job[0]),
-            )
-            writer.start()
-            writers.append(writer)
-        yield out
-        write_profile_csv(out / "swirl_profile.csv", swirl_profile(Z, Zp))
+        yield out, write
     finally:
         for writer in writers:
             writer.join()
     failed = [f"{w.name} (writer exit code {w.exitcode})" for w in writers if w.exitcode != 0]
     if failed:
         raise OSError(f"could not write {', '.join(failed)}")
+
+
+def _make_bundle(A, p, cfg: RunConfig, out: Path, write) -> tuple[Dataset, Dataset, Dataset]:
+    """Return ``generate(A, p, cfg.n, cfg.seed)``, each cloud written as made, and the profile."""
+    Z = sample_uniform_square(cfg.n, cfg.seed)
+    write(Z)  # its writer takes the idle core while the mixing and the swirl run
+    X, Zp = apply_pipeline(A, p, Z)
+    write(X)
+    write(Zp)
+    write_profile_csv(out / "swirl_profile.csv", swirl_profile(Z, Zp))
+    return Z, X, Zp
 
 
 def _write_report(out: Path, report, parameters: dict) -> None:
@@ -188,8 +201,8 @@ def _not_certified_category(report, degenerate: bool) -> str:
 def _cmd_run(cfg: RunConfig, render: bool) -> int:
     _check_sample_size(cfg)
     A, p = cfg.mixing2(), cfg.mpa_params()
-    Z, X, Zp = generate(A, p, cfg.n, cfg.seed)
-    with _emit_bundle(cfg, Z, X, Zp, render) as out:
+    with _emit_bundle(cfg, render) as (out, write):
+        Z, X, Zp = _make_bundle(A, p, cfg, out, write)
         report = audit_pair(Z, Zp, maps=(A, p, X), settings=cfg)
     _write_report(out, report, cfg.to_dict())
     if report.counterexample_certified:
@@ -200,9 +213,8 @@ def _cmd_run(cfg: RunConfig, render: bool) -> int:
 
 
 def _cmd_figures(cfg: RunConfig, render: bool) -> int:
-    Z, X, Zp = generate(cfg.mixing2(), cfg.mpa_params(), cfg.n, cfg.seed)
-    with _emit_bundle(cfg, Z, X, Zp, render) as out:
-        pass  # no audit: the bundle is all that figures makes
+    with _emit_bundle(cfg, render) as (out, write):
+        _make_bundle(cfg.mixing2(), cfg.mpa_params(), cfg, out, write)
     print(f"figure bundle written to {out}")
     return EXIT_OK
 

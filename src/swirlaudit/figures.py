@@ -72,11 +72,20 @@ def swirl_profile(Z: Dataset, Zp: Dataset, bin_width: float = 0.01) -> NDArray:
     _require_paired(Z, Zp)
     if not 0.0 < bin_width < math.inf:
         raise ValueError(f"bin width must be positive and finite, got {bin_width}")
-    (z1, z2), (w1, w2) = Z.points.T, Zp.points.T
+    angles = np.empty(Z.n)
+    for start in range(0, Z.n, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        (z1, z2), (w1, w2) = Z.points[rows].T, Zp.points[rows].T
+        np.arctan2(z1 * w2 - z2 * w1, z1 * w1 + z2 * w2, out=angles[rows])
     radii = Z.radii()
     order = _sort_order(radii)[0][::-1]
-    unwrapped = np.empty(Z.n)
-    unwrapped[order] = _unwrap(np.arctan2(z1 * w2 - z2 * w1, z1 * w1 + z2 * w2)[order])
+    # np.unwrap would add +0.0 before the first jump, which changes no bin's sum: skip it
+    for start in range(0, Z.n - 1, BLOCK_ROWS):
+        rise = np.abs(np.diff(angles[order[start:start + BLOCK_ROWS + 1]]))
+        if (jumps := np.flatnonzero(~(rise < np.pi))).size:
+            tail = order[start + jumps[0]:]
+            angles[tail] = _unwrap(angles[tail])
+            break
 
     n_bins = math.ceil(math.sqrt(2.0) / bin_width)
     edges = np.linspace(0.0, n_bins * bin_width, n_bins + 1)
@@ -85,7 +94,7 @@ def swirl_profile(Z: Dataset, Zp: Dataset, bin_width: float = 0.01) -> NDArray:
     np.clip(idx, 0, n_bins - 1, out=idx)
     counts = np.bincount(idx, minlength=n_bins)
     with np.errstate(invalid="ignore"):
-        angle_mean = np.bincount(idx, weights=unwrapped, minlength=n_bins) / counts
+        angle_mean = np.bincount(idx, weights=angles, minlength=n_bins) / counts
         radius_mean = np.bincount(idx, weights=radii, minlength=n_bins) / counts
 
     table = np.empty(n_bins, dtype=_PROFILE_DTYPE)

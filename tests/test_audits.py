@@ -761,26 +761,23 @@ def test_error_on_the_calling_thread_still_joins_the_worker(monkeypatch):
     def failing(*args, **kwargs):
         raise CheckFailed("relation")
 
-    def slowed(check):
-        def slow(*args, **kwargs):
-            time.sleep(0.2)
-            result = check(*args, **kwargs)
-            finished.append(threading.current_thread() is threading.main_thread())
-            return result
-        return slow
+    def finishing(check, *args, **kwargs):
+        result = check(*args, **kwargs)
+        finished.append(threading.current_thread() is threading.main_thread())
+        return result
 
-    ran = record_check_calls(monkeypatch, lambda name, check: (
-        failing if name == "check_coordinatewise_relation"
-        else slowed(check) if name == "check_uniformity" else check))
+    wrap = first_check_slowed(threading.Event(), then=finishing)
+    ran = record_check_calls(monkeypatch, lambda name, check: wrap(
+        name, failing if name == "check_coordinatewise_relation" else check))
     threads = threading.active_count()
     with pytest.raises(CheckFailed, match="relation"):
         run_audit(default_mixing(), default_swirl(), 10_000, 1)
-    # the slowed uniformity check, the worker's last, had ended when the error reached the caller
-    assert finished == [False]
     assert threading.active_count() == threads
-    assert ("check_coordinatewise_relation", True) in ran
-    assert [entry for entry in ran if entry[0] != "check_coordinatewise_relation"] == [
-        (name, False) for name in WORKER_ORDER]
+    # the relation failed while the worker slept in its first task: that task ran to its
+    # end, both sweeps, before the error reached the caller, and no later task was called
+    assert finished == [False]
+    assert sorted(ran) == sorted(
+        [("check_continuity", False)] * 2 + [("check_coordinatewise_relation", True)])
 
 
 def test_concurrent_audits_each_give_the_single_threaded_report():

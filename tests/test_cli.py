@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -175,6 +176,42 @@ def test_failed_audit_leaves_no_certified_report(tmp_path, monkeypatch, capsys):
     # the cloud writers were joined although the audit failed
     assert multiprocessing.active_children() == []
     assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_failed_pipeline_joins_the_started_writer_and_leaves_no_report(tmp_path, monkeypatch,
+                                                                       capsys):
+    def broken(*args, **kwargs):
+        raise SwirlAuditError("injected failure")
+
+    code, out = certify_then_fail(
+        tmp_path, lambda out: monkeypatch.setattr(cli, "apply_pipeline", broken))
+    assert code == 5
+    assert "injected failure" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    # Z's writer had started before the pipeline failed, and was joined
+    assert multiprocessing.active_children() == []
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the writers are forked only where fork exists")
+def test_each_writer_starts_as_its_cloud_exists_with_no_other_thread(tmp_path, monkeypatch):
+    events = []
+    start, pipeline = multiprocessing.process.BaseProcess.start, cli.apply_pipeline
+
+    def recording_start(self):
+        events.append((Path(self.name).name, threading.active_count()))
+        return start(self)
+
+    def recording_pipeline(*args, **kwargs):
+        events.append(("apply_pipeline", threading.active_count()))
+        return pipeline(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording_start)
+    monkeypatch.setattr(cli, "apply_pipeline", recording_pipeline)
+    cfg = write_cfg(tmp_path, "n = 10000\nseed = 5\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert events == [("z.csv", 1), ("apply_pipeline", 1), ("x.csv", 1), ("zprime.csv", 1)]
 
 
 def test_failed_write_leaves_no_certified_report(tmp_path, capsys):

@@ -321,10 +321,17 @@ def reference_profile(Z, Zp, bin_width=0.01):
     return table
 
 
-@pytest.mark.parametrize("a", [3.6, -3.6, 20.0, -45.0])
-def test_profile_equals_the_numpy_reference(a):
-    # 20 and 45 exceed 2*pi/c, so the unwrap corrects more than once
-    p = sa.MpaParams(a, 0.9)
+@pytest.mark.parametrize("a, pairs", [
+    *(pytest.param(a, [], id=str(a)) for a in (3.6, -3.6, 20.0, -45.0, 0.5, 0.0)),
+    # the outermost pair is half a turn apart, so the first ordered step is a jump
+    pytest.param(3.6, [[(2.5, 2.5), (-2.5, -2.5)]], id="first-step-jumps"),
+    # the cross product overflows to inf - inf: a NaN angle at the third ordered step
+    pytest.param(3.6, [[(1.5, 1.5), (1.5e308, 1.5e308)]], id="nan-angle"),
+])
+def test_profile_equals_the_numpy_reference(a, pairs):
+    # 20 and 45 exceed 2*pi/c, so the unwrap corrects more than once; 0.5 never
+    # wraps; the pairs are appended to Z and Z' after the swirl
+    p = sa.MpaParams(a, 0.9) if a else sa.MpaParams.degenerate_fixture(0.9)
     pts = sa.sample_uniform_square(30_000, 5).points
     edges = np.linspace(0.0, 142 * 0.01, 143)[[1, 37, 89, 90, 141, 142]]
     on_edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)])
@@ -336,7 +343,21 @@ def test_profile_equals_the_numpy_reference(a):
     ])
     Z = Dataset(points=pts, label=LATENT_Z, seed=0)
     _, Zp = sa.apply_pipeline(sa.Mixing2.from_rows(1.0, 0.5, 0.0, 1.0), p, Z)
+    if pairs:
+        z, zp = np.array(pairs).transpose(1, 0, 2)
+        Z = Dataset(points=np.concatenate([Z.points, z]), label=LATENT_Z, seed=0)
+        Zp = Dataset(points=np.concatenate([Zp.points, zp]), label=LATENT_ZPRIME, seed=0)
     assert not _sort_order(Z.radii())[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # the nan-angle pair overflows
+        assert swirl_profile(Z, Zp).tobytes() == reference_profile(Z, Zp).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(-60.0, 60.0).filter(bool), c=st.floats(0.01, 0.99),
+       seed=st.integers(0, 2**32), n=st.integers(1, 400))
+def test_profile_equals_the_numpy_reference_for_any_swirl(a, c, seed, n):
+    Z = sa.sample_uniform_square(n, seed)
+    _, Zp = sa.apply_pipeline(sa.Mixing2.from_rows(1.0, 0.5, 0.0, 1.0), sa.MpaParams(a, c), Z)
     assert swirl_profile(Z, Zp).tobytes() == reference_profile(Z, Zp).tobytes()
 
 
